@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-snapshot bench-ci check fuzz cover obs-smoke
+.PHONY: build vet test race bench bench-test check fuzz cover obs-smoke
 
 build:
 	$(GO) build ./...
@@ -16,24 +16,16 @@ test: vet
 race:
 	$(GO) test -race ./...
 
-# Control-plane micro-benchmarks via `go test` (human-readable).
+# The repo's one benchmark (BENCHMARK.json): four seeded workloads, end-to-end
+# and per-layer metrics, built-in output checks. Call bench/run.sh directly to
+# pass arguments (-workload, -trace, -runs, -compare); see bench/README.md.
 bench:
-	$(GO) test -run=NONE -bench='PlanLatency|StepTimeEstimate|ProfileLookup|Simulation' -benchmem .
+	bash bench/run.sh
 
-# Machine-readable snapshot of the same micro-benchmarks, written to
-# BENCH_planner.json ({bench, ns_op, allocs_op} records). Commit the
-# refreshed snapshot alongside planner/cost-model changes.
-bench-snapshot:
-	$(GO) run ./cmd/tetribench -o BENCH_planner.json
-
-# Regression gate: re-run the micro-benchmarks and diff against the
-# committed snapshot. Fails on >20% ns/op growth or any allocs/op increase
-# on any benchmark. Benchmarks are noisy on shared runners, so CI runs
-# this as a non-blocking job — treat a red bench-ci as a prompt to re-run
-# locally, not as ground truth.
-bench-ci:
-	$(GO) run ./cmd/tetribench -o /tmp/bench_candidate.json
-	$(GO) run ./scripts/benchdiff BENCH_planner.json /tmp/bench_candidate.json
+# bench/ is a Go module of its own, so `go test ./...` does not reach it.
+bench-test:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # Short randomized sweep of the invariant fuzz targets (the committed
 # seed corpus under internal/invariant/testdata/fuzz replays in the plain
@@ -43,7 +35,7 @@ fuzz:
 	$(GO) test ./internal/invariant -run '^$$' -fuzz '^FuzzPlanRound$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/invariant -run '^$$' -fuzz '^FuzzControlLoop$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/invariant -run '^$$' -fuzz '^FuzzElasticControlLoop$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/invariant -run '^$$' -fuzz '^FuzzWarmStart$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/invariant -run '^$$' -fuzz '^FuzzPlanReuse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/invariant -run '^$$' -fuzz '^FuzzCacheAwarePlan$$' -fuzztime $(FUZZTIME)
 
 # End-to-end smoke test of the telemetry plane against a real daemon:
@@ -56,5 +48,6 @@ cover:
 	$(GO) test -coverprofile=coverage.out -coverpkg=./... ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-# Everything a PR must pass: compile, vet, full suite, race detector.
-check: build vet test race
+# Everything a PR must pass: compile, vet, full suite, race detector, and
+# the benchmark module's own vet + tests.
+check: build vet test race bench-test

@@ -15,7 +15,7 @@
 //	-seed N        trace seed (default 1)
 //	-n N           requests per simulation (default 300)
 //	-rate R        arrival rate req/min (default 12)
-//	-quick         reduced sizes/timeouts (what the bench suite uses)
+//	-quick         reduced sizes/timeouts (what the golden-table tests use)
 //	-workers N     simulation cells run concurrently (default GOMAXPROCS; 1 = sequential)
 //	-markdown      emit GitHub-flavored markdown tables
 //	-metrics       attach the telemetry plane (timeline/export) and dump

@@ -76,9 +76,9 @@ type Feasibility struct {
 // ProbeFeasibility projects deadline feasibility for a hypothetical request
 // (res, steps, slo) against the loop's current state without mutating any of
 // it: no tracker insert, no scheduler invocation, no engine transition — the
-// warm-start planner's caches, the decode queue, and the pending order are
-// all untouched, so probing is invisible to subsequent plans (the property
-// the router's no-mutation test pins down).
+// planner's scratch, the decode queue, and the pending order are all
+// untouched, so probing is invisible to subsequent plans (the property the
+// router's no-mutation test pins down).
 //
 // steps ≤ 0 defaults to the model's step count. Unknown resolutions return
 // an error: feasibility of an uncalibrated shape is undefined, and the

@@ -151,8 +151,8 @@ func drain(t *testing.T, l *Loop, clk *clock.Virtual, probe func()) *Result {
 // TestProbeNeverMutatesLoopState is the router-facing no-mutation property:
 // two identical loops replay the same trace, one interleaving feasibility
 // probes of randomized shapes before every event; every outcome, run record
-// count, plan-call count, and the warm-start planner's cache fingerprint must
-// be bit-identical. Pre-fix probes that planned speculatively (or touched the
+// count, plan-call count, and the planner's DP row counters must be
+// bit-identical. Pre-fix probes that planned speculatively (or touched the
 // decode queue) diverge here.
 func TestProbeNeverMutatesLoopState(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -201,7 +201,7 @@ func TestProbeNeverMutatesLoopState(t *testing.T) {
 			res2.PlanCalls, len(res2.Runs), res2.Makespan, res2.GPUBusySeconds)
 	}
 	if qsc.Warm() != psc.Warm() {
-		t.Fatalf("warm-start cache fingerprint diverged: %+v vs %+v", qsc.Warm(), psc.Warm())
+		t.Fatalf("planner DP row counters diverged (a probe planned): %+v vs %+v", qsc.Warm(), psc.Warm())
 	}
 }
 

@@ -59,7 +59,7 @@ func (s *Scheduler) buildCandidate(prof *costmodel.Profile, now, tNext time.Dura
 	if st.Remaining <= 0 {
 		return false
 	}
-	s.ensureMemo(prof) // no-op (and write-free) when the profile is unchanged
+	s.ensureMemo(prof) // no-op when the profile is unchanged
 	res := st.Req.Res
 	budget := st.Deadline() - now
 	tmin := s.minStep(prof, res)
@@ -229,35 +229,18 @@ type mixEntry struct {
 	stepTime  time.Duration
 }
 
-// mixBudget maps a raw deadline budget to the one the solver sees. With
-// DeadlineBucket set it floors the budget to a bucket multiple — strictly
-// conservative (never more slack than the request has) and shared between
-// the memo key and the solve input so the two cannot disagree.
-func (s *Scheduler) mixBudget(budget time.Duration) time.Duration {
-	b := s.cfg.DeadlineBucket
-	if b <= 0 {
-		return budget
-	}
-	q := budget / b
-	if budget < 0 && budget%b != 0 {
-		q-- // floor, not truncate: negative budgets round away from zero
-	}
-	return q * b
-}
-
 // minGPUHourMix returns the §4.2.1 minimal-GPU-hour allocation, memoized per
 // (resolution, remaining steps, budget) within the current plan. The memo is
-// exact for the (possibly bucket-quantized) budget — see mixKey — so a hit
-// returns the byte-identical plan the solver would recompute; callers must
-// treat the returned slice as read-only.
+// exact — see mixKey — so a hit returns the byte-identical plan the solver
+// would recompute; callers must treat the returned slice as read-only.
 func (s *Scheduler) minGPUHourMix(prof *costmodel.Profile, res model.Resolution, steps int, budget time.Duration) []mixEntry {
 	s.ensureMemo(prof)
 	sc := &s.scratch
-	key := mixKey{res: res, steps: steps, budget: s.mixBudget(budget)}
+	key := mixKey{res: res, steps: steps, budget: budget}
 	if mix, ok := sc.mixMemo[key]; ok {
 		return mix
 	}
-	out, n := solveMix(key.steps, key.budget, s.degCfgs(prof, key.res))
+	out, n := solveMix(steps, budget, s.degCfgs(prof, res))
 	var mix []mixEntry
 	if n == 1 {
 		mix = sc.putMix1(out[0])
@@ -312,9 +295,8 @@ func (s *Scheduler) buildDegCfgs(prof *costmodel.Profile, res model.Resolution) 
 // the fastest degree misses the budget, the fastest single-degree plan is
 // returned so the request still makes best progress.
 //
-// The result is returned by value (≤ 2 entries plus a count) and cfgs is
-// read-only, so the function is pure: parallel candidate construction
-// (parallel.go) calls it from several goroutines against the shared cache.
+// The result is returned by value (≤ 2 entries plus a count) so a solve
+// allocates nothing; the caller copies it into the per-plan slab.
 func solveMix(steps int, budget time.Duration, cfgs []degCfg) ([2]mixEntry, int) {
 	// The winning plan is tracked as indices into cfgs (single ≥ 0, or the
 	// slow/fast pair with x steps at slow) and materialized once at the end,

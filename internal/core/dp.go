@@ -10,21 +10,8 @@ package core
 // more requests (the work-conserving tie-break; leftover capacity is later
 // recycled by elastic scale-up regardless).
 //
-// Warm start (Config.WarmStart): the full (R+1)×cols value table is kept —
-// row i is the optimum over the first i candidates — instead of the usual
-// rolling pair of rows. Row i+1 depends only on row i and candidate i's
-// *transition profile* (surviveNone plus each option's width and survival
-// bit, packed into a uint64 by dpProfile). Row 0 depends only on cols. So
-// if the first p candidates of this round have the same profiles as last
-// round's at the same column count, rows 0..p and back-pointer rows 0..p-1
-// are — by induction — exactly what this solve would recompute, and the DP
-// resumes at row p. Between consecutive rounds only requests that ran (or
-// arrived, finished, crossed a survival boundary) change their profile, so
-// p is typically within a few rows of R and the per-round cost drops from
-// O(R·N·|O|) to O(Δ·N·|O|). The resumed solve is bit-identical to a cold
-// one; FuzzWarmStart and TestWarmColdEquivalence enforce this.
-
-import "sync"
+// The value rows and the back-pointer table live in the scheduler's scratch
+// and are reused across rounds.
 
 const survivalWeight = 1 << 20
 
@@ -33,13 +20,6 @@ const survivalWeight = 1 << 20
 // so this is purely defensive.
 const maxOptions = 1<<15 - 1
 
-// dpParallelMinCols gates strata-parallel row updates: splitting a row
-// across goroutines only pays when the capacity axis is wide. Real
-// topologies top out at a handful of columns (≤ 9 on an 8-GPU node), so the
-// parallel path is exercised by tests that lower this, and by synthetic
-// wide-capacity instances.
-var dpParallelMinCols = 64
-
 // selection records the DP's decision for one candidate.
 type selection struct {
 	cand *candidate
@@ -47,31 +27,10 @@ type selection struct {
 	optIdx int
 }
 
-// dpProfile packs everything the DP transition reads from a candidate:
-// bit 0 = surviveNone, bits 1-3 = option count (≤ 4: two mix degrees, each
-// with at most one cache-assisted variant), then one 15-bit field per option
-// (degree<<5 | cacheInterval<<1 | survive; degree ≤ 64 fits 7 bits, interval
-// ≤ MaxCacheIntervalCap fits 4). Two candidates with equal profiles induce
-// identical row transitions and identical back-pointer rows.
-func dpProfile(c *candidate) uint64 {
-	p := uint64(len(c.options)) << 1
-	if c.surviveNone {
-		p |= 1
-	}
-	for oi, o := range c.options {
-		f := uint64(o.degree)<<5 | uint64(o.cacheInterval)<<1
-		if o.survive {
-			f |= 1
-		}
-		p |= f << (4 + 15*oi)
-	}
-	return p
-}
-
 // packDP runs the dynamic program over capacity GPUs and reconstructs the
-// chosen options via back-pointers. Runtime O(R·N·|O|) cold, O(Δ·N·|O|)
-// warm, space O(R·N) — the tractability claim of §4.2.2. The returned slice
-// is scratch owned by the scheduler and is valid until the next Plan call.
+// chosen options via back-pointers. Runtime O(R·N·|O|), space O(R·N) —
+// the tractability claim of §4.2.2. The returned slice is scratch owned by
+// the scheduler and is valid until the next Plan call.
 func (s *Scheduler) packDP(cands []*candidate, capacity int) []selection {
 	if capacity < 0 {
 		capacity = 0
@@ -79,82 +38,59 @@ func (s *Scheduler) packDP(cands []*candidate, capacity int) []selection {
 	const minusInf = -1 << 40
 	sc := &s.scratch
 	cols := capacity + 1
-	R := len(cands)
+	dp := int64Row(sc.dp, cols)
+	next := int64Row(sc.next, cols)
+	for c := range dp {
+		dp[c] = minusInf
+	}
+	dp[0] = 0
+	// choice[i*cols+c] = option index picked for candidate i when the first
+	// i+1 candidates consume exactly c GPUs (-1 = none, -2 = unreachable).
+	if need := len(cands) * cols; cap(sc.choice) < need {
+		sc.choice = make([]int16, need)
+	}
+	choice := sc.choice[:len(cands)*cols]
+	s.dpRows += len(cands)
 
-	// Fingerprint this round's candidate sequence.
-	prof := sc.prof[:0]
-	for _, cand := range cands {
+	for i, cand := range cands {
 		if len(cand.options) > maxOptions {
 			panic("core: candidate option count overflows DP back-pointers")
 		}
-		prof = append(prof, dpProfile(cand))
-	}
-	sc.prof = prof
-
-	// Size the value and back-pointer tables. Growing either re-points the
-	// backing array and discards the previous checkpoint, so resume is only
-	// attempted when both fit in place.
-	grown := false
-	if need := (R + 1) * cols; cap(sc.rows) < need {
-		sc.rows = make([]int64, need)
-		grown = true
-	}
-	rows := sc.rows[:(R+1)*cols]
-	if need := R * cols; cap(sc.choice) < need {
-		sc.choice = make([]int16, need)
-		grown = true
-	}
-	choice := sc.choice[:R*cols]
-
-	// Longest candidate prefix whose checkpointed rows are still valid.
-	lcp := 0
-	if s.cfg.WarmStart && !grown && cols == sc.dpCols {
-		max := sc.dpValid
-		if max > R {
-			max = R
-		}
-		if max > len(sc.prevProf) {
-			max = len(sc.prevProf)
-		}
-		for lcp < max && prof[lcp] == sc.prevProf[lcp] {
-			lcp++
-		}
-		if lcp < s.cfg.WarmStartMinReuse {
-			lcp = 0
-		}
-	}
-	s.warmRows += lcp
-	s.coldRows += R - lcp
-
-	if lcp == 0 {
-		for c := 0; c < cols; c++ {
-			rows[c] = minusInf
-		}
-		rows[0] = 0
-	}
-
-	workers := s.cfg.Workers
-	for i := lcp; i < R; i++ {
-		cand := cands[i]
-		dp := rows[i*cols : (i+1)*cols]
-		next := rows[(i+1)*cols : (i+2)*cols]
 		ch := choice[i*cols : (i+1)*cols]
-		if workers > 1 && cols >= dpParallelMinCols {
-			dpRowParallel(cand, dp, next, ch, workers)
-		} else {
-			dpRow(cand, dp, next, ch, 0, cols)
+		for c := 0; c <= capacity; c++ {
+			// Option "none": width 0.
+			v := dp[c]
+			ch[c] = -2
+			if v > minusInf {
+				next[c] = v + noneValue(cand)
+				ch[c] = -1
+			} else {
+				next[c] = minusInf
+			}
+			for oi, opt := range cand.options {
+				w := opt.degree
+				if w > c {
+					continue
+				}
+				if dp[c-w] <= minusInf {
+					continue
+				}
+				nv := dp[c-w] + optionValue(opt)
+				if nv > next[c] {
+					next[c] = nv
+					ch[c] = int16(oi)
+				}
+			}
 		}
+		dp, next = next, dp
 	}
-	sc.dpCols = cols
-	sc.dpValid = R
-	sc.prof, sc.prevProf = sc.prevProf[:0], sc.prof
+	sc.dp, sc.next = dp, next
 
 	// Pick the best value at the smallest capacity achieving it.
-	final := rows[R*cols : (R+1)*cols]
 	bestC, bestV := 0, int64(minusInf)
 	for c := 0; c <= capacity; c++ {
-		if final[c] > bestV {
-			bestV = final[c]
+		if dp[c] > bestV {
+			bestV = dp[c]
 			bestC = c
 		}
 	}
@@ -162,7 +98,7 @@ func (s *Scheduler) packDP(cands []*candidate, capacity int) []selection {
 	// Reconstruct.
 	sels := sc.sels[:0]
 	c := bestC
-	for i := R - 1; i >= 0; i-- {
+	for i := len(cands) - 1; i >= 0; i-- {
 		oi := choice[i*cols+c]
 		if oi == -2 {
 			// Unreachable cells cannot appear on the optimal path.
@@ -181,63 +117,6 @@ func (s *Scheduler) packDP(cands []*candidate, capacity int) []selection {
 	}
 	sc.sels = sels
 	return sels
-}
-
-// dpRow computes next[lo:hi] and ch[lo:hi] from dp — one candidate's
-// transition over a column range. Each column depends only on the previous
-// row, so disjoint ranges of one row can run concurrently (dpRowParallel)
-// and produce bytes identical to the sequential sweep.
-func dpRow(cand *candidate, dp, next []int64, ch []int16, lo, hi int) {
-	const minusInf = -1 << 40
-	for c := lo; c < hi; c++ {
-		// Option "none": width 0.
-		v := dp[c]
-		ch[c] = -2
-		if v > minusInf {
-			next[c] = v + noneValue(cand)
-			ch[c] = -1
-		} else {
-			next[c] = minusInf
-		}
-		for oi, opt := range cand.options {
-			w := opt.degree
-			if w > c {
-				continue
-			}
-			if dp[c-w] <= minusInf {
-				continue
-			}
-			nv := dp[c-w] + optionValue(opt)
-			if nv > next[c] {
-				next[c] = nv
-				ch[c] = int16(oi)
-			}
-		}
-	}
-}
-
-// dpRowParallel splits one row update into contiguous column strata, one per
-// worker. Workers write disjoint segments of next/ch and only read the
-// (frozen) previous row, so the merge is trivially deterministic.
-func dpRowParallel(cand *candidate, dp, next []int64, ch []int16, workers int) {
-	cols := len(dp)
-	if workers > cols {
-		workers = cols
-	}
-	var wg sync.WaitGroup
-	chunk := (cols + workers - 1) / workers
-	for lo := 0; lo < cols; lo += chunk {
-		hi := lo + chunk
-		if hi > cols {
-			hi = cols
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			dpRow(cand, dp, next, ch, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 func noneValue(c *candidate) int64 {

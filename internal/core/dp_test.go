@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"tetriserve/internal/model"
 	"tetriserve/internal/stats"
+	"tetriserve/internal/workload"
 )
 
 // mkCandidate builds a synthetic candidate with explicit options.
@@ -246,6 +248,45 @@ func TestDPSelectionOrderStable(t *testing.T) {
 	for i, sel := range sels {
 		if sel.cand != cands[i] {
 			t.Fatal("selections not in input order")
+		}
+	}
+}
+
+// TestZeroOptionPruning: excluding option-less candidates from the DP leaves
+// the selection of every candidate that has options unchanged. Planning
+// snapshots on the test profile never produce an option-less candidate, so
+// synthetic ones are interleaved with the real ones.
+func TestZeroOptionPruning(t *testing.T) {
+	picks := func(sels []selection) map[workload.RequestID]int {
+		m := map[workload.RequestID]int{}
+		for _, sel := range sels {
+			if len(sel.cand.options) > 0 {
+				m[sel.cand.st.Req.ID] = sel.optIdx
+			}
+		}
+		return m
+	}
+	full, pruned := newTestScheduler(t), newTestScheduler(t)
+	rng := stats.NewRNG(31)
+	for trial := 0; trial < 40; trial++ {
+		ctx := randCtx(rng, 1+rng.Intn(12))
+		var cands []*candidate
+		for i, st := range ctx.Pending {
+			if rng.Intn(2) == 0 {
+				cands = append(cands, mkCandidate(1000+i, rng.Intn(2) == 0))
+			}
+			cands = append(cands, buildCand(full, ctx.Now, ctx.Now+full.tau, st))
+		}
+		cands = append(cands, mkCandidate(2000, true))
+
+		capacity := ctx.Free.Count()
+		want := picks(full.packDP(cands, capacity))
+		kept := pruned.pruneCandidates(cands)
+		if len(kept) != len(ctx.Pending) {
+			t.Fatalf("trial %d: pruning kept %d of %d candidates with options", trial, len(kept), len(ctx.Pending))
+		}
+		if got := picks(pruned.packDP(kept, capacity)); !reflect.DeepEqual(want, got) {
+			t.Fatalf("trial %d: pruning changed the selection:\n unpruned: %v\n   pruned: %v", trial, want, got)
 		}
 	}
 }

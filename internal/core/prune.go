@@ -3,8 +3,7 @@ package core
 // Candidate pruning for the group-knapsack DP. Only transformations that
 // provably leave the packing bit-identical are applied: the DP's strict-">"
 // tie-breaks mean even a value-equivalent rewrite can flip a back-pointer,
-// so anything heuristic lives in explicit Config knobs (DeadlineBucket)
-// rather than here.
+// so nothing heuristic belongs here.
 
 // pruneCandidates filters the DP input down to candidates that can affect
 // the packing. A candidate with no runnable options admits only the "none"
@@ -23,7 +22,6 @@ func (s *Scheduler) pruneCandidates(cands []*candidate) []*candidate {
 			out = append(out, c)
 		}
 	}
-	s.prunedCands += len(cands) - len(out)
 	sc.dpCands = out
 	return out
 }

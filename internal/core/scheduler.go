@@ -77,26 +77,6 @@ type Config struct {
 	// count — batching only pays for requests that underutilize a GPU.
 	// Default 1024 tokens (≤ 512×512).
 	BatchTokenCap int
-	// WarmStart enables the incremental planning layer: an exact-replay
-	// cache keyed by a fingerprint of the pending/running sets (Layer A)
-	// and a prefix-resumable DP that re-solves only the candidates that
-	// changed since the previous round (Layer B). Both layers are
-	// bit-identical to a cold solve — see DESIGN.md §12 — so the knob only
-	// trades memory for control-plane latency. Default on.
-	WarmStart bool
-	// WarmStartMinReuse is the minimum number of matching prefix candidates
-	// required before the DP resumes from a checkpoint; below it the solve
-	// runs cold (a tiny reusable prefix is not worth the bookkeeping).
-	// Default 0 (any reusable prefix is taken).
-	WarmStartMinReuse int
-	// DeadlineBucket, when positive, rounds each request's deadline budget
-	// DOWN to a multiple of the bucket before the §4.2.1 mix solve. The
-	// quantized budget is used both as the memo key and as the solve input,
-	// so planning stays self-consistent and strictly conservative (a
-	// request is never given more slack than it has) while near-identical
-	// deadlines collapse onto one memo entry — the candidate-pruning lever
-	// for 10k-deep queues. Default 0 (exact budgets, paper behavior).
-	DeadlineBucket time.Duration
 	// MaxCacheInterval caps the step-cache cadence the planner may assign:
 	// at interval c, one step in c runs fully and the rest reuse cached
 	// features at the profile's discounted cost. The planner spends a
@@ -105,11 +85,6 @@ type Config struct {
 	// sched.CacheProtectedSteps steps. Default 1 (caching off — planning is
 	// bit-identical to the cache-oblivious scheduler).
 	MaxCacheInterval int
-	// Workers, when > 1, parallelizes candidate construction (the
-	// per-request mix solves) and wide DP row updates across goroutines.
-	// The merge order is fixed, so plans are bit-identical to the
-	// sequential solve. Default 0 (sequential).
-	Workers int
 	// Seed feeds the random placement used when preservation is off.
 	Seed uint64
 	// WallClock supplies the time source for the plan-latency diagnostic
@@ -133,7 +108,6 @@ func DefaultConfig() Config {
 		EagerAdmission:        true,
 		QuantizationAwareMix:  true,
 		BatchTokenCap:         1024,
-		WarmStart:             true,
 		MaxCacheInterval:      1,
 		Seed:                  7,
 	}
@@ -141,8 +115,8 @@ func DefaultConfig() Config {
 
 // MaxCacheIntervalCap bounds the cache cadence: beyond one full step in
 // eight, approximation error compounds past what any quality budget should
-// license (and the DP fingerprint packs the interval in 4 bits). Config
-// values above the cap are clamped; flag parsers should reject them loudly.
+// license. Config values above the cap are clamped; flag parsers should
+// reject them loudly.
 const MaxCacheIntervalCap = 8
 
 func (c *Config) normalize() {
@@ -167,20 +141,11 @@ func (c *Config) normalize() {
 	if c.Seed == 0 {
 		c.Seed = 7
 	}
-	if c.WarmStartMinReuse < 0 {
-		c.WarmStartMinReuse = 0
-	}
 	if c.MaxCacheInterval < 1 {
 		c.MaxCacheInterval = 1
 	}
 	if c.MaxCacheInterval > MaxCacheIntervalCap {
 		c.MaxCacheInterval = MaxCacheIntervalCap
-	}
-	if c.DeadlineBucket < 0 {
-		c.DeadlineBucket = 0
-	}
-	if c.Workers < 0 {
-		c.Workers = 0
 	}
 	if c.WallClock == nil {
 		c.WallClock = time.Now
@@ -209,27 +174,20 @@ type Scheduler struct {
 	roundsPlanned     int
 	placementFailures int
 	lastPlanLatency   time.Duration
-
-	// Warm-start diagnostics (see warmstart.go).
-	warmHits    int
-	warmRows    int
-	coldRows    int
-	prunedCands int
+	dpRows            int
 }
 
-// WarmStats summarizes the incremental-planning layer's effectiveness.
+// WarmStats is the scheduler's DP row counter. Its name, and the two fields
+// that always read 0, are kept only because bench/sim.go reads them for the
+// core.replay_hit_share and core.resumed_row_share ledger rows; they go when
+// a benchmark-archetype PR drops those rows.
 type WarmStats struct {
-	// ReplayHits counts Plan calls answered entirely from the Layer-A
-	// exact-replay cache (no solve at all).
+	// ReplayHits is always 0 (no plan is ever answered from a cache).
 	ReplayHits int
-	// ResumedRows counts DP candidate rows reused from a previous round's
-	// checkpoint table (Layer B).
+	// ResumedRows is always 0 (every DP row is computed).
 	ResumedRows int
-	// ColdRows counts DP candidate rows computed from scratch.
+	// ColdRows counts the candidate rows the DP has computed.
 	ColdRows int
-	// PrunedCandidates counts option-less candidates excluded from the DP
-	// (their contribution is a uniform value shift — see prune.go).
-	PrunedCandidates int
 }
 
 // NewScheduler builds a TetriServe scheduler for the profiled cluster.
@@ -301,14 +259,11 @@ func (s *Scheduler) PlacementFailures() int { return s.placementFailures }
 // the control-plane latency Table 6 compares against exhaustive search.
 func (s *Scheduler) LastPlanLatency() time.Duration { return s.lastPlanLatency }
 
-// Warm returns the incremental-planning diagnostics.
+// Warm returns the DP work counters (see WarmStats for the name). They move
+// only inside Plan, so two loops with equal counters planned equally often
+// over equally deep queues.
 func (s *Scheduler) Warm() WarmStats {
-	return WarmStats{
-		ReplayHits:       s.warmHits,
-		ResumedRows:      s.warmRows,
-		ColdRows:         s.coldRows,
-		PrunedCandidates: s.prunedCands,
-	}
+	return WarmStats{ColdRows: s.dpRows}
 }
 
 // window returns the usable execution window within a round.
@@ -325,13 +280,6 @@ func (s *Scheduler) Plan(ctx *sched.PlanContext) []sched.Assignment {
 		s.lastPlanLatency = s.cfg.WallClock().Sub(started)
 		s.roundsPlanned++
 	}()
-
-	// Layer A: if the planning inputs are bit-identical to the previous
-	// round's, the previous plan is still the answer — return it without
-	// touching any scratch (the cached plan aliases it).
-	if plan, ok := s.tryReplay(ctx); ok {
-		return plan
-	}
 
 	tNext := ctx.Now + s.tau
 	s.beginPlan(ctx.Profile)
@@ -351,15 +299,11 @@ func (s *Scheduler) Plan(ctx *sched.PlanContext) []sched.Assignment {
 	// extend the table (on-demand profiling) without rebuilding schedulers.
 	// Candidates live in the scratch arena; the arena is sized up front so
 	// the pointers taken here stay valid.
-	if s.cfg.Workers > 1 && len(sc.active) >= parallelMinActive {
-		s.buildCandidatesParallel(ctx.Profile, ctx.Now, tNext)
-	} else {
-		arena := sc.grabCandidates(len(sc.active))
-		for i, st := range sc.active {
-			c := &arena[i]
-			if s.buildCandidate(ctx.Profile, ctx.Now, tNext, st, c) {
-				sc.cands = append(sc.cands, c)
-			}
+	arena := sc.grabCandidates(len(sc.active))
+	for i, st := range sc.active {
+		c := &arena[i]
+		if s.buildCandidate(ctx.Profile, ctx.Now, tNext, st, c) {
+			sc.cands = append(sc.cands, c)
 		}
 	}
 
@@ -369,12 +313,7 @@ func (s *Scheduler) Plan(ctx *sched.PlanContext) []sched.Assignment {
 	chosen := s.packDP(s.pruneCandidates(sc.cands), capGPUs)
 
 	// Stage 3: placement, batching, elastic scale-up, best-effort lane.
-	failBefore := s.placementFailures
-	plan := s.assemble(ctx, chosen, sc.cands, sc.late)
-
-	// Record the fingerprint + plan for the Layer-A replay cache.
-	s.snapshotReplay(ctx, plan, s.placementFailures-failBefore)
-	return plan
+	return s.assemble(ctx, chosen, sc.cands, sc.late)
 }
 
 var _ sched.Scheduler = (*Scheduler)(nil)

@@ -19,16 +19,12 @@ import (
 	"tetriserve/internal/workload"
 )
 
-// mixKey identifies one deadline-aware allocation subproblem. By default the
-// budget is the exact remaining time to deadline: quantizing the key alone
-// would let two requests with different deadlines share a (possibly wrong)
-// plan and change round decisions, so the memo trades hit rate for
-// bit-for-bit reproducibility. Config.DeadlineBucket quantizes the budget
-// *before* it reaches the solver — the rounded-down value is both the key
-// and the solve input, so the plan stays self-consistent (and conservative)
-// while near-identical deadlines collapse onto one entry. Requests of the
-// same resolution arriving together (the common burst shape, and the planner
-// benchmark's queue) collapse onto a handful of keys either way.
+// mixKey identifies one deadline-aware allocation subproblem. The budget is
+// the exact remaining time to deadline: quantizing the key would let two
+// requests with different deadlines share a (possibly wrong) plan and change
+// round decisions, so the memo trades hit rate for bit-for-bit
+// reproducibility. Requests of the same resolution arriving together (the
+// common burst shape) still collapse onto a handful of keys.
 type mixKey struct {
 	res    model.Resolution
 	steps  int
@@ -63,27 +59,12 @@ type planScratch struct {
 	// flag), and rebuilding it was most of every solveMix call.
 	cfgCache map[model.Resolution][]degCfg
 
-	// Stage 2: DP state. rows is the full (R+1)×cols value table — row i is
-	// the optimum over the first i candidates, kept (rather than the usual
-	// rolling pair) so a later round can resume from the deepest row whose
-	// candidate prefix is unchanged. choice is the flattened back-pointer
-	// table, len(cands)×cols. prof fingerprints each DP row's transition
-	// (see dpProfile); prevProf is last round's sequence, the warm-start
-	// comparison baseline.
-	rows     []int64
+	// Stage 2: DP state. dp/next are the rolling pair of value rows; choice
+	// is the flattened back-pointer table, len(cands)×cols.
+	dp, next []int64
 	choice   []int16
 	sels     []selection
 	dpCands  []*candidate
-	prof     []uint64
-	prevProf []uint64
-	dpCols   int
-	dpValid  int // candidate rows of `rows` that match prevProf
-
-	// Layer-A replay cache (see warmstart.go).
-	replay replayState
-
-	// Workers>1 parallel candidate construction (see parallel.go).
-	par parScratch
 
 	// Stage 3: assembly. placed is the arena all *placed pointers index
 	// into; memberArena backs the per-host continuous-batching member
@@ -132,9 +113,7 @@ func (s *Scheduler) ensureMemo(prof *costmodel.Profile) {
 }
 
 // minStep is the cached Profile.MinStepTime (value identical by
-// construction, so planning decisions cannot shift). The parallel candidate
-// pass reads the cache concurrently; that is safe because Plan's sequential
-// partition stage has already interned every pending resolution.
+// construction, so planning decisions cannot shift).
 func (s *Scheduler) minStep(prof *costmodel.Profile, res model.Resolution) time.Duration {
 	sc := &s.scratch
 	if t, ok := sc.tminCache[res]; ok {
@@ -145,9 +124,7 @@ func (s *Scheduler) minStep(prof *costmodel.Profile, res model.Resolution) time.
 	return t
 }
 
-// degCfgs is the cached buildDegCfgs. The parallel candidate pass reads the
-// cache concurrently; that is safe because pass 1 (sequential) interns every
-// active resolution before any worker starts.
+// degCfgs is the cached buildDegCfgs.
 func (s *Scheduler) degCfgs(prof *costmodel.Profile, res model.Resolution) []degCfg {
 	sc := &s.scratch
 	if c, ok := sc.cfgCache[res]; ok {
@@ -192,6 +169,15 @@ func (sc *planScratch) putMix2(a, b mixEntry) []mixEntry {
 	start := len(sc.mixArena)
 	sc.mixArena = append(sc.mixArena, a, b)
 	return sc.mixArena[start:len(sc.mixArena):len(sc.mixArena)]
+}
+
+// int64Row returns an n-length int64 buffer, reusing buf when it is large
+// enough.
+func int64Row(buf []int64, n int) []int64 {
+	if cap(buf) < n {
+		return make([]int64, n)
+	}
+	return buf[:n]
 }
 
 // grabCandidates returns n zeroed candidate slots with stable addresses.

@@ -1,6 +1,6 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§2 motivation, §6 evaluation, Appendix B). Each experiment is
-// a named runner producing tablefmt tables; the root bench suite and
+// a named runner producing tablefmt tables; the golden-table tests and
 // cmd/tetrisim both execute through this registry so numbers are produced
 // by exactly one code path.
 package experiments
@@ -31,7 +31,7 @@ type Context struct {
 	// Rate is the default arrival rate in requests/minute (default 12).
 	Rate float64
 	// Quick trims expensive cells (shorter exhaustive-search timeout,
-	// fewer requests) for use inside `go test -bench`.
+	// fewer requests) for use inside `go test` (the golden tables).
 	Quick bool
 	// ExhaustiveTimeout bounds each Appendix-B solver cell (default 60 s,
 	// 2 s when Quick).

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"tetriserve/internal/core"
@@ -117,15 +118,14 @@ func measureDPLatency(f *fixture, n, r int, seed uint64) float64 {
 		Profile: f.prof,
 		Topo:    topo,
 	}
-	// Warm once, then time the median of several calls.
+	// One untimed call sizes the scratch arenas; report the median of five.
 	sc.Plan(ctx)
-	best := time.Duration(1<<62 - 1)
-	for i := 0; i < 5; i++ {
+	var samples [5]time.Duration
+	for i := range samples {
 		start := time.Now()
 		sc.Plan(ctx)
-		if d := time.Since(start); d < best {
-			best = d
-		}
+		samples[i] = time.Since(start)
 	}
-	return float64(best.Microseconds()) / 1000.0
+	slices.Sort(samples[:])
+	return float64(samples[len(samples)/2].Microseconds()) / 1000.0
 }

@@ -144,46 +144,43 @@ func FuzzPlanRound(f *testing.F) {
 	})
 }
 
-// warmColdEquivalence drives a warm-start scheduler and a cold one through
-// the same evolving sequence of planning snapshots and demands byte-identical
-// plans every round. The evolution mixes the three regimes the incremental
-// planner distinguishes: perturbed rounds (partial DP-prefix reuse, Layer B),
-// repeated identical snapshots (exact replay, Layer A), and churn heavy
-// enough to force cold solves.
-func warmColdEquivalence(t *testing.T, seed uint64, nGPUSel, nReqSel, flags uint8) {
+// planReuseEquivalence drives one long-lived scheduler through an evolving
+// sequence of planning snapshots and demands that every round's plan equals
+// the plan of a fresh scheduler over the same snapshot: nothing a Plan call
+// leaves behind (scratch arenas, the tminCache/cfgCache epochs, the per-plan
+// memo) may leak into a later round. The evolution mixes perturbed rounds,
+// repeated identical snapshots, and queue growth. Placement preservation is
+// forced on: with it off the placement RNG is legitimately cross-round state.
+func planReuseEquivalence(t *testing.T, seed uint64, nGPUSel, nReqSel, flags uint8) {
 	n := 1 << (int(nGPUSel) % 4) // 1, 2, 4, 8 GPUs
 	nReq := 1 + int(nReqSel)%16
 	prof, topo := fuzzProfile(n)
 	resList := model.StandardResolutions()
 
-	mk := func(warmStart bool) *core.Scheduler {
-		cfg := core.DefaultConfig()
-		cfg.PlacementPreservation = flags&1 != 0
-		cfg.ElasticScaleUp = flags&2 != 0
-		cfg.SelectiveBatching = flags&4 != 0
-		cfg.BestEffortLane = flags&8 != 0
-		cfg.WarmStart = warmStart
-		cfg.WallClock = frozenWall
-		return core.NewScheduler(prof, topo, cfg)
-	}
-	warm, cold := mk(true), mk(false)
+	cfg := core.DefaultConfig()
+	cfg.PlacementPreservation = true
+	cfg.ElasticScaleUp = flags&2 != 0
+	cfg.SelectiveBatching = flags&4 != 0
+	cfg.BestEffortLane = flags&8 != 0
+	cfg.WallClock = frozenWall
+	reused := core.NewScheduler(prof, topo, cfg)
 
 	ctx := fuzzPlanContext(stats.NewRNG(seed), prof, topo, nReq)
 	rng := stats.NewRNG(seed ^ 0x9e3779b97f4a7c15)
-	tau := warm.RoundDuration()
+	tau := reused.RoundDuration()
 	nextID := len(ctx.Pending) + 1
 	for round := 0; round < 12; round++ {
-		wp := clonePlan(warm.Plan(ctx))
-		cp := clonePlan(cold.Plan(ctx))
-		if !reflect.DeepEqual(wp, cp) {
-			t.Fatalf("round %d: warm and cold plans diverge:\n warm: %+v\n cold: %+v", round, wp, cp)
+		rp := clonePlan(reused.Plan(ctx))
+		fp := clonePlan(core.NewScheduler(prof, topo, cfg).Plan(ctx))
+		if !reflect.DeepEqual(rp, fp) {
+			t.Fatalf("round %d: reused and fresh schedulers diverge:\n reused: %+v\n  fresh: %+v", round, rp, fp)
 		}
-		if err := sched.ValidatePlan(ctx, wp); err != nil {
+		if err := sched.ValidatePlan(ctx, rp); err != nil {
 			t.Fatalf("round %d: plan failed validation: %v", round, err)
 		}
 		// Evolve the snapshot for the next round.
 		if rng.Intn(4) == 0 {
-			continue // unchanged snapshot: Layer-A replay vs cold re-solve
+			continue // unchanged snapshot: the same solve over used scratch
 		}
 		ctx.Now += tau
 		for _, st := range ctx.Pending {
@@ -217,23 +214,23 @@ func warmColdEquivalence(t *testing.T, seed uint64, nGPUSel, nReqSel, flags uint
 	}
 }
 
-// FuzzWarmStart is the incremental planner's equivalence fuzzer: whatever
-// snapshot sequence the input derives, warm-start planning must be
-// bit-identical to cold planning (DESIGN.md §12's determinism argument,
-// enforced). Shares the FuzzPlanRound input shape so corpus entries transfer.
-func FuzzWarmStart(f *testing.F) {
+// FuzzPlanReuse is the cross-round state fuzzer: whatever snapshot sequence
+// the input derives, a scheduler that has planned before must plan exactly
+// like one that has not. Shares the FuzzPlanRound input shape so corpus
+// entries transfer.
+func FuzzPlanReuse(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(6), uint8(0))
 	f.Add(uint64(42), uint8(4), uint8(3), uint8(0b1111))
 	f.Add(uint64(7), uint8(2), uint8(12), uint8(0b0101))
 	f.Add(uint64(99), uint8(3), uint8(15), uint8(0b1101))
-	f.Fuzz(warmColdEquivalence)
+	f.Fuzz(planReuseEquivalence)
 }
 
-// TestWarmColdEquivalence pins a deterministic battery of the same check so
+// TestPlanReuseEquivalence pins a deterministic battery of the same check so
 // the property is exercised by plain `go test` runs beyond corpus replay.
-func TestWarmColdEquivalence(t *testing.T) {
+func TestPlanReuseEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 24; seed++ {
-		warmColdEquivalence(t, seed, uint8(seed), uint8(3*seed), uint8(seed>>1))
+		planReuseEquivalence(t, seed, uint8(seed), uint8(3*seed), uint8(seed>>1))
 	}
 }
 
@@ -242,7 +239,7 @@ func TestWarmColdEquivalence(t *testing.T) {
 // native Go fuzzing replays exactly those files as subtests of a plain
 // `go test ./...` — deleting the corpus would silently drop regressions.
 func TestSeedCorpusCommitted(t *testing.T) {
-	for _, target := range []string{"FuzzPlanRound", "FuzzControlLoop", "FuzzElasticControlLoop", "FuzzWarmStart", "FuzzCacheAwarePlan"} {
+	for _, target := range []string{"FuzzPlanRound", "FuzzControlLoop", "FuzzElasticControlLoop", "FuzzPlanReuse", "FuzzCacheAwarePlan"} {
 		entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", target))
 		if err != nil {
 			t.Fatalf("%s corpus missing: %v", target, err)

@@ -152,8 +152,8 @@ type PlanContext struct {
 	// Capacity is the GPU set the shard currently owns (elastic serving may
 	// resize it between rounds). Zero means the full topology. Free ⊆
 	// Capacity always; planners that only carve groups out of Free need not
-	// consult it, but plan caches must fingerprint it so a capacity change
-	// never replays a stale plan.
+	// consult it. The invariant oracle checks it against its own capacity
+	// ledger.
 	Capacity simgpu.Mask
 	// Pending lists requests with Remaining > 0 that are not Running,
 	// in arrival order.
