@@ -99,8 +99,7 @@ type fleetDoc struct {
 		Shed            int     `json:"shed"`
 		EarlyRejectRate float64 `json:"early_reject_rate"`
 	} `json:"router"`
-	ProbeCacheHitRate float64 `json:"probe_cache_hit_rate"`
-	Shards            []struct {
+	Shards []struct {
 		Name       string  `json:"name"`
 		Reachable  bool    `json:"reachable"`
 		Error      string  `json:"error"`
@@ -138,9 +137,9 @@ func cmdFleet(c *client, args []string) error {
 	if err := c.getJSON("/v1/fleet", &doc); err != nil {
 		return err
 	}
-	fmt.Printf("router: %d decisions  %d routed  %d infeasible  %d shed  early-reject %.2f  probe-cache hit %.2f\n",
+	fmt.Printf("router: %d decisions  %d routed  %d infeasible  %d shed  early-reject %.2f\n",
 		doc.Router.Decisions, doc.Router.Routed, doc.Router.Infeasible, doc.Router.Shed,
-		doc.Router.EarlyRejectRate, doc.ProbeCacheHitRate)
+		doc.Router.EarlyRejectRate)
 
 	tb := tablefmt.New("shards", "shard", "up", "queue", "running", "completed", "dropped", "SLO", "busy s", "gpus")
 	for _, s := range doc.Shards {
@@ -177,9 +176,8 @@ func topShards(c *client) error {
 	if err := c.getJSON("/v1/fleet", &doc); err != nil {
 		return err
 	}
-	fmt.Printf("router     %6d decisions   routed %6d   rejected %4d   probe-cache hit %.2f\n",
-		doc.Router.Decisions, doc.Router.Routed,
-		doc.Router.Infeasible+doc.Router.Shed, doc.ProbeCacheHitRate)
+	fmt.Printf("router     %6d decisions   routed %6d   rejected %4d\n",
+		doc.Router.Decisions, doc.Router.Routed, doc.Router.Infeasible+doc.Router.Shed)
 
 	tb := tablefmt.New("", "shard", "queue", "running", "completed", "met", "dropped", "SLO", "busy s", "resizes")
 	totals := struct{ q, run, done, met, drop int }{}

@@ -3,15 +3,18 @@ package main
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"tetriserve/internal/core"
 )
 
-// Step-cache flag error kinds, matching the -shards parser convention:
+// Shard-mode flag error kinds, matching the -shards parser convention:
 // distinguishable with errors.Is so tests assert on cause, not message.
 var (
 	ErrBadCacheInterval = errors.New("cache interval out of range")
 	ErrBadQualityBudget = errors.New("quality budget out of range")
+	ErrBadGranularity   = errors.New("step granularity must be positive")
+	ErrBadSpeedup       = errors.New("speedup must be a positive finite number")
 )
 
 // cacheKnobs carries the validated step-cache flags for shard mode.
@@ -38,4 +41,17 @@ func parseCacheKnobs(interval int, budgetFrac float64) (cacheKnobs, error) {
 			budgetFrac, ErrBadQualityBudget)
 	}
 	return cacheKnobs{interval: interval, budgetFrac: budgetFrac}, nil
+}
+
+// checkShardFlags validates -granularity and -speedup. The scheduler would
+// silently turn a non-positive granularity into 5 and the driver a
+// non-positive speedup into 20; both are rejected here instead.
+func checkShardFlags(granularity int, speedup float64) error {
+	if granularity < 1 {
+		return fmt.Errorf("tetriserve: -granularity %d: %w", granularity, ErrBadGranularity)
+	}
+	if !(speedup > 0) || math.IsInf(speedup, 1) {
+		return fmt.Errorf("tetriserve: -speedup %v: %w", speedup, ErrBadSpeedup)
+	}
+	return nil
 }

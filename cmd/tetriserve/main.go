@@ -53,7 +53,6 @@ func main() {
 	qualityBudget := flag.Float64("quality-budget", 0, "shard mode: fraction of each job's steps the planner may approximate via the step cache (0..1)")
 	shardList := flag.String("shards", "", "router mode: comma-separated shard base URLs (name=url or url)")
 	tenantWeights := flag.String("tenant-weights", "", "router mode: comma-separated tenant=weight pairs")
-	probeTTL := flag.Duration("probe-ttl", 0, "router mode: cache shard feasibility probes for this long (0 = off)")
 	rebalanceOn := flag.Bool("rebalance", false, "router mode: enable elastic GPU rebalancing across shards")
 	rebalanceGPUs := flag.String("rebalance-gpus", "", "router mode: per-shard init:max GPU counts, e.g. 2:8,2:8 (required with -rebalance)")
 	rebalanceEvery := flag.Duration("rebalance-interval", 10*time.Second, "router mode: elastic decision cadence")
@@ -67,13 +66,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		if err := checkShardFlags(*granularity, *speedup); err != nil {
+			log.Fatal(err)
+		}
 		runShard(*addr, *mdlName, *topoName, *speedup, *schedName, *granularity, *useCache, *pprofOn, knobs)
 	case "router":
 		runRouter(routerOptions{
 			addr:           *addr,
 			shardList:      *shardList,
 			tenantWeights:  *tenantWeights,
-			probeTTL:       *probeTTL,
 			rebalance:      *rebalanceOn,
 			rebalanceGPUs:  *rebalanceGPUs,
 			rebalanceEvery: *rebalanceEvery,
@@ -125,7 +126,6 @@ type routerOptions struct {
 	addr           string
 	shardList      string
 	tenantWeights  string
-	probeTTL       time.Duration
 	rebalance      bool
 	rebalanceGPUs  string
 	rebalanceEvery time.Duration
@@ -144,7 +144,6 @@ func runRouter(opt routerOptions) {
 	}
 	api, err := server.NewRouterAPI(router.Config{
 		TenantWeights: weights,
-		ProbeTTL:      opt.probeTTL,
 	}, shards)
 	if err != nil {
 		log.Fatal(err)
@@ -171,7 +170,6 @@ func runRouter(opt routerOptions) {
 				DrainGapSeconds: opt.rebalanceGap,
 			}),
 			Interval: opt.rebalanceEvery,
-			Router:   api.Router(),
 			Logf:     log.Printf,
 		})
 		if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -141,6 +142,27 @@ func TestParseCacheKnobs(t *testing.T) {
 		}
 		if !errors.Is(err, tc.wantErr) {
 			t.Fatalf("parseCacheKnobs(%d, %v) error %v, want errors.Is %v", tc.interval, tc.budget, err, tc.wantErr)
+		}
+	}
+}
+
+func TestCheckShardFlags(t *testing.T) {
+	for _, tc := range []struct {
+		granularity int
+		speedup     float64
+		wantErr     error
+	}{
+		{5, 20, nil},
+		{1, 0.5, nil},
+		{0, 20, ErrBadGranularity},
+		{-3, 20, ErrBadGranularity},
+		{5, 0, ErrBadSpeedup},
+		{5, -1, ErrBadSpeedup},
+		{5, math.NaN(), ErrBadSpeedup},
+		{5, math.Inf(1), ErrBadSpeedup},
+	} {
+		if err := checkShardFlags(tc.granularity, tc.speedup); !errors.Is(err, tc.wantErr) {
+			t.Fatalf("checkShardFlags(%d, %v) error %v, want errors.Is %v", tc.granularity, tc.speedup, err, tc.wantErr)
 		}
 	}
 }

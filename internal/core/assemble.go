@@ -10,6 +10,17 @@ import (
 	"tetriserve/internal/workload"
 )
 
+// Lane and batching caps: one value each in use outside tests (DESIGN §6).
+const (
+	// bestEffortGPUs caps the late lane's total GPUs per round so lingering
+	// late requests cannot starve on-time ones ("without impacting other
+	// requests", §4.2.2); elastic scale-up may still grow them when GPUs
+	// idle. At 8, sim-backlog's sar_offered falls from 0.384 to 0.215.
+	bestEffortGPUs = 2
+	maxBatch       = 4    // continuous-batching width (§5)
+	batchTokenCap  = 1024 // batch only ≤ 512×512: larger requests already fill a GPU
+)
+
 // placed is an in-progress assignment before final emission. Instances live
 // in the scheduler's scratch arena (planScratch.placed) and are recycled
 // every round; pointers to them are only valid within one Plan call.
@@ -116,7 +127,7 @@ func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*
 		// Budget the lane: already-running late blocks (multi-round SP=1
 		// blocks from earlier rounds) count against the cap so stragglers
 		// cannot starve on-time requests of capacity.
-		budget := s.cfg.BestEffortGPUs
+		budget := bestEffortGPUs
 		for _, st := range ctx.Running {
 			if s.definitelyLate(ctx.Profile, st, ctx.Now) {
 				budget--
@@ -281,7 +292,7 @@ func (s *Scheduler) batchSmall(ctx *sched.PlanContext, placedList []*placed, fre
 		// Latent tokens = pixels/16² for both models; batching only pays
 		// for small resolutions that underutilize a GPU.
 		tokens := p.cand.st.Req.Res.Pixels() / 256
-		if ctx.Profile.Has(p.cand.st.Req.Res) && tokens <= s.cfg.BatchTokenCap {
+		if ctx.Profile.Has(p.cand.st.Req.Res) && tokens <= batchTokenCap {
 			batchable = append(batchable, p)
 		}
 	}
@@ -319,7 +330,7 @@ func (s *Scheduler) batchSmall(ctx *sched.PlanContext, placedList []*placed, fre
 		start := len(sc.memberArena)
 		for _, donor := range group[1:] {
 			bs := 1 + len(host.members) + 1
-			if bs > s.cfg.MaxBatch {
+			if bs > maxBatch {
 				break
 			}
 			tb := ctx.Profile.StepTimeBatch(host.cand.st.Req.Res, 1, profiledBatch(bs))

@@ -26,21 +26,15 @@ import (
 	"tetriserve/internal/stats"
 )
 
-// Config selects TetriServe's mechanisms; zero value = paper defaults via
-// NewScheduler.
+// Config selects TetriServe's mechanisms. Start from DefaultConfig (the
+// paper's set); NewScheduler fills only a zero StepGranularity,
+// MaxCacheInterval or WallClock.
 type Config struct {
 	// StepGranularity is how many reference steps one round holds (§6.4,
 	// Figure 15). The reference step is the fastest step of the most
 	// expensive profiled resolution, so the largest requests advance at
 	// least StepGranularity steps per round. Default 5.
 	StepGranularity int
-	// MaxRound caps τ so coarse granularities on slow hardware do not
-	// starve short-SLO requests of admission. Default 1 s.
-	MaxRound time.Duration
-	// SchedOverhead is the control-plane cost charged at the start of each
-	// round (DP + dispatch); it shrinks the usable round window and is what
-	// makes 1-step granularity lose under load. Default 8 ms.
-	SchedOverhead time.Duration
 	// PlacementPreservation keeps requests on their previous GPU sets
 	// across rounds (ablated in Table 5). Default on.
 	PlacementPreservation bool
@@ -50,16 +44,9 @@ type Config struct {
 	// SelectiveBatching merges small same-resolution SP=1 selections when
 	// no member's deadline is compromised (§5). Default on.
 	SelectiveBatching bool
-	// MaxBatch bounds the continuous-batching width. Default 4.
-	MaxBatch int
 	// BestEffortLane runs already-late requests on leftover single GPUs
 	// (§4.2.2). Default on.
 	BestEffortLane bool
-	// BestEffortGPUs caps the lane's total GPUs per round so lingering
-	// late requests cannot starve on-time ones ("without impacting other
-	// requests"). Elastic scale-up may still grow them when GPUs idle.
-	// Default 2.
-	BestEffortGPUs int
 	// EagerAdmission additionally invokes the planner when a request
 	// arrives and GPUs are idle, instead of waiting for the next round
 	// boundary; rounds re-anchor to the new block. This is the
@@ -73,10 +60,6 @@ type Config struct {
 	// tile the round poorly. Default on; off reproduces a naive
 	// profile-time allocator for the extensions ablation.
 	QuantizationAwareMix bool
-	// BatchTokenCap limits batching to resolutions at or below this token
-	// count — batching only pays for requests that underutilize a GPU.
-	// Default 1024 tokens (≤ 512×512).
-	BatchTokenCap int
 	// MaxCacheInterval caps the step-cache cadence the planner may assign:
 	// at interval c, one step in c runs fully and the rest reuse cached
 	// features at the profile's discounted cost. The planner spends a
@@ -85,8 +68,6 @@ type Config struct {
 	// sched.CacheProtectedSteps steps. Default 1 (caching off — planning is
 	// bit-identical to the cache-oblivious scheduler).
 	MaxCacheInterval int
-	// Seed feeds the random placement used when preservation is off.
-	Seed uint64
 	// WallClock supplies the time source for the plan-latency diagnostic
 	// (Table 6). Defaults to time.Now; deterministic harnesses inject a
 	// fake clock so a Plan call never reads the wall.
@@ -97,21 +78,28 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		StepGranularity:       5,
-		MaxRound:              time.Second,
-		SchedOverhead:         8 * time.Millisecond,
 		PlacementPreservation: true,
 		ElasticScaleUp:        true,
 		SelectiveBatching:     true,
-		MaxBatch:              4,
 		BestEffortLane:        true,
-		BestEffortGPUs:        2,
 		EagerAdmission:        true,
 		QuantizationAwareMix:  true,
-		BatchTokenCap:         1024,
 		MaxCacheInterval:      1,
-		Seed:                  7,
 	}
 }
+
+// Round and placement constants: one value each in use outside tests
+// (DESIGN §6).
+const (
+	// maxRound caps τ so coarse granularities on slow hardware do not
+	// starve short-SLO requests of admission.
+	maxRound = time.Second
+	// schedOverhead is the control-plane cost charged at the start of each
+	// round (DP + dispatch); it shrinks the usable round window and is what
+	// makes 1-step granularity lose under load.
+	schedOverhead = 8 * time.Millisecond
+	placementSeed = 7 // random placement when preservation is off
+)
 
 // MaxCacheIntervalCap bounds the cache cadence: beyond one full step in
 // eight, approximation error compounds past what any quality budget should
@@ -122,24 +110,6 @@ const MaxCacheIntervalCap = 8
 func (c *Config) normalize() {
 	if c.StepGranularity <= 0 {
 		c.StepGranularity = 5
-	}
-	if c.MaxRound <= 0 {
-		c.MaxRound = time.Second
-	}
-	if c.SchedOverhead < 0 {
-		c.SchedOverhead = 0
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4
-	}
-	if c.BestEffortGPUs <= 0 {
-		c.BestEffortGPUs = 2
-	}
-	if c.BatchTokenCap <= 0 {
-		c.BatchTokenCap = 1024
-	}
-	if c.Seed == 0 {
-		c.Seed = 7
 	}
 	if c.MaxCacheInterval < 1 {
 		c.MaxCacheInterval = 1
@@ -197,7 +167,7 @@ func NewScheduler(prof *costmodel.Profile, topo *simgpu.Topology, cfg Config) *S
 		cfg:  cfg,
 		prof: prof,
 		topo: topo,
-		rng:  stats.NewRNG(cfg.Seed),
+		rng:  stats.NewRNG(placementSeed),
 	}
 	s.tau = s.computeRound()
 	return s
@@ -206,7 +176,7 @@ func NewScheduler(prof *costmodel.Profile, topo *simgpu.Topology, cfg Config) *S
 // computeRound derives τ: StepGranularity × the fastest per-step time of the
 // most expensive profiled resolution, plus the control-plane overhead so the
 // usable window holds exactly StepGranularity reference steps, capped at
-// MaxRound. Rounds sized this way let every resolution complete an integral
+// maxRound. Rounds sized this way let every resolution complete an integral
 // number of steps near the boundary, minimizing idle bubbles (§4.2.2 "Round
 // Duration").
 func (s *Scheduler) computeRound() time.Duration {
@@ -219,12 +189,12 @@ func (s *Scheduler) computeRound() time.Duration {
 		}
 	}
 	ref, _ := s.prof.MinStepTime(refRes)
-	tau := time.Duration(s.cfg.StepGranularity)*ref + s.cfg.SchedOverhead
-	if tau > s.cfg.MaxRound {
-		tau = s.cfg.MaxRound
+	tau := time.Duration(s.cfg.StepGranularity)*ref + schedOverhead
+	if tau > maxRound {
+		tau = maxRound
 	}
-	if tau < ref+s.cfg.SchedOverhead {
-		tau = ref + s.cfg.SchedOverhead
+	if tau < ref+schedOverhead {
+		tau = ref + schedOverhead
 	}
 	return tau
 }
@@ -237,7 +207,7 @@ func (s *Scheduler) RoundDuration() time.Duration { return s.tau }
 
 // Overhead reports the per-round control-plane budget; the simulator
 // charges it as dispatch delay so blocks occupy τ end to end.
-func (s *Scheduler) Overhead() time.Duration { return s.cfg.SchedOverhead }
+func (s *Scheduler) Overhead() time.Duration { return schedOverhead }
 
 // EagerAdmission reports whether the driver should also invoke Plan on
 // request arrival (in addition to round boundaries).
@@ -267,7 +237,7 @@ func (s *Scheduler) Warm() WarmStats {
 }
 
 // window returns the usable execution window within a round.
-func (s *Scheduler) window() time.Duration { return s.tau - s.cfg.SchedOverhead }
+func (s *Scheduler) window() time.Duration { return s.tau - schedOverhead }
 
 // Plan implements sched.Scheduler for one round (Algorithm 1 plus the
 // §4.2.3 placement/elastic extensions). The returned plan (including its

@@ -24,7 +24,7 @@ func mkCtx(now time.Duration, free simgpu.Mask, pending ...*sched.RequestState) 
 func TestRoundDurationHoldsGranularitySteps(t *testing.T) {
 	s := newTestScheduler(t)
 	ref, _ := testProf.MinStepTime(model.Res2048)
-	want := 5*ref + s.cfg.SchedOverhead
+	want := 5*ref + schedOverhead
 	if s.RoundDuration() != want {
 		t.Fatalf("τ = %v, want %v (5 reference steps + overhead)", s.RoundDuration(), want)
 	}
@@ -35,12 +35,9 @@ func TestRoundDurationHoldsGranularitySteps(t *testing.T) {
 }
 
 func TestRoundDurationCapped(t *testing.T) {
-	s := newTestScheduler(t, func(c *Config) {
-		c.StepGranularity = 100
-		c.MaxRound = 700 * time.Millisecond
-	})
-	if s.RoundDuration() != 700*time.Millisecond {
-		t.Fatalf("τ = %v, want the 700ms cap", s.RoundDuration())
+	s := newTestScheduler(t, func(c *Config) { c.StepGranularity = 100 })
+	if s.RoundDuration() != time.Second {
+		t.Fatalf("τ = %v, want the 1s cap", s.RoundDuration())
 	}
 }
 
@@ -72,7 +69,7 @@ func TestPlanValidAgainstOracle(t *testing.T) {
 func TestPlanRandomizedAlwaysValid(t *testing.T) {
 	rng := stats.NewRNG(4)
 	for trial := 0; trial < 200; trial++ {
-		s := newTestScheduler(t, func(c *Config) { c.Seed = uint64(trial + 1) })
+		s := newTestScheduler(t)
 		ctx := randCtx(rng, 1+rng.Intn(10))
 		plan := s.Plan(ctx)
 		if err := sched.ValidatePlan(ctx, plan); err != nil {
@@ -235,10 +232,7 @@ func TestBestEffortLaneServesLateRequests(t *testing.T) {
 }
 
 func TestBestEffortLaneCapped(t *testing.T) {
-	s := newTestScheduler(t, func(c *Config) {
-		c.BestEffortGPUs = 2
-		c.ElasticScaleUp = false
-	})
+	s := newTestScheduler(t, func(c *Config) { c.ElasticScaleUp = false })
 	var late []*sched.RequestState
 	for i := 0; i < 6; i++ {
 		late = append(late, mkState(i, model.Res512, 50, 0, time.Millisecond))
@@ -338,7 +332,7 @@ func TestSchedulerInterfaceMetadata(t *testing.T) {
 	if s.RoundDuration() <= 0 {
 		t.Fatal("TetriServe must be round-based")
 	}
-	if s.Overhead() != s.cfg.SchedOverhead {
+	if s.Overhead() != schedOverhead {
 		t.Fatal("Overhead accessor wrong")
 	}
 	if !s.EagerAdmission() {
@@ -355,7 +349,7 @@ func TestSchedulerInterfaceMetadata(t *testing.T) {
 
 func TestConfigNormalization(t *testing.T) {
 	s := NewScheduler(testProf, testTopo, Config{})
-	if s.cfg.StepGranularity != 5 || s.cfg.MaxBatch != 4 || s.cfg.BestEffortGPUs != 2 {
+	if s.cfg.StepGranularity != 5 || s.cfg.MaxCacheInterval != 1 || s.cfg.WallClock == nil {
 		t.Fatalf("zero config not normalized: %+v", s.cfg)
 	}
 	_ = workload.RequestID(0)

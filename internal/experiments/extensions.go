@@ -15,7 +15,7 @@ func init() {
 		ID:    "ext1",
 		Title: "Extensions ablation — design choices beyond the paper's Table 5",
 		Summary: "Toggles this reproduction's own mechanisms (eager admission, " +
-			"selective batching, quantization-aware allocation, best-effort lane cap) " +
+			"selective batching, quantization-aware allocation, best-effort lane) " +
 			"to quantify what each contributes on top of the paper's scheduler.",
 		Run: runExt1,
 	})
@@ -32,8 +32,6 @@ func extVariant(name string) core.Config {
 		cfg.SelectiveBatching = false
 	case "- Quantization-aware mix":
 		cfg.QuantizationAwareMix = false
-	case "- Late-lane cap":
-		cfg.BestEffortGPUs = 8
 	case "- Best-effort lane":
 		cfg.BestEffortLane = false
 	default:
@@ -49,7 +47,6 @@ func ExtensionVariants() []string {
 		"- Eager admission",
 		"- Selective batching",
 		"- Quantization-aware mix",
-		"- Late-lane cap",
 		"- Best-effort lane",
 	}
 }

@@ -66,9 +66,6 @@ type ProbeResult struct {
 	// Err is the probe error, if any ("" otherwise); an erroring shard is
 	// simply not a candidate.
 	Err string
-	// Cached is true when the projection was served from the probe cache
-	// (Config.ProbeTTL > 0) rather than a live shard probe.
-	Cached bool
 }
 
 // Decision is the full routing verdict for one submission.
@@ -103,40 +100,18 @@ type Config struct {
 	// TenantWeights are the weighted-fair admission shares; tenants absent
 	// from the map weigh 1. Weights are relative, not normalized.
 	TenantWeights map[string]float64
-	// FairnessWindow is the sliding window over which admitted GPU·seconds
-	// are accounted for overload detection and fair shares (default 60 s,
-	// in shard-clock time).
-	FairnessWindow time.Duration
-	// OverloadFactor sets the overload threshold: the fleet is overloaded
-	// when admitted GPU·seconds in the window exceed
-	// OverloadFactor × (Σ healthy GPUs) × window. Default 0.85.
-	OverloadFactor float64
-	// MinRetryAfter floors the Retry-After hint (default 1 s).
-	MinRetryAfter time.Duration
-	// ProbeTTL enables the probe cache: feasibility answers are reused for
-	// identical (shard, resolution, steps, slo) probes within TTL of the
-	// caller's clock, and concurrent identical misses are collapsed onto one
-	// in-flight probe (single-flight). 0 disables caching — every decision
-	// probes live shard state, the deterministic-simulation default.
-	ProbeTTL time.Duration
 	// Observer, when set, receives every decision synchronously (the
 	// telemetry plane's attachment point). It must not call back into the
 	// router.
 	Observer func(Decision)
 }
 
-func (c Config) withDefaults() Config {
-	if c.FairnessWindow <= 0 {
-		c.FairnessWindow = 60 * time.Second
-	}
-	if c.OverloadFactor <= 0 {
-		c.OverloadFactor = 0.85
-	}
-	if c.MinRetryAfter <= 0 {
-		c.MinRetryAfter = time.Second
-	}
-	return c
-}
+// Admission constants: one value each in use outside tests (DESIGN §6).
+const (
+	fairnessWindow = 60 * time.Second // sliding window (shard clock) of admitted GPU·seconds
+	overloadFactor = 0.85             // overloaded above overloadFactor × Σ healthy GPUs × window
+	minRetryAfter  = time.Second      // floor of the Retry-After hint
+)
 
 // tenantLedger accumulates one tenant's sliding-window admissions.
 type tenantLedger struct {
@@ -158,7 +133,6 @@ type admission struct {
 type Router struct {
 	cfg    Config
 	shards []Shard
-	cache  *probeCache // nil unless Config.ProbeTTL > 0
 
 	mu          sync.Mutex
 	ledger      []admission // FIFO within the fairness window
@@ -172,16 +146,12 @@ func New(cfg Config, shards []Shard) (*Router, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("router: at least one shard is required")
 	}
-	r := &Router{
-		cfg:         cfg.withDefaults(),
+	return &Router{
+		cfg:         cfg,
 		shards:      shards,
 		tenants:     map[string]*tenantLedger{},
 		shardRouted: make([]int, len(shards)),
-	}
-	if r.cfg.ProbeTTL > 0 {
-		r.cache = newProbeCache(r.cfg.ProbeTTL)
-	}
-	return r, nil
+	}, nil
 }
 
 // Route decides where (whether) to place one submission. now is the caller's
@@ -207,13 +177,12 @@ func (r *Router) Route(now time.Duration, tenant string, res model.Resolution, s
 	healthy, known := 0, false
 	var service float64
 	for i, s := range r.shards {
-		f, errStr, cached := r.probeShard(now, i, s, res, steps, slo)
-		pr := ProbeResult{Shard: s.Name(), Feas: f, Err: errStr, Cached: cached}
-		if errStr != "" {
-			dec.Probes = append(dec.Probes, pr)
+		f, err := s.ProbeFeasibility(res, steps, slo)
+		if err != nil {
+			dec.Probes = append(dec.Probes, ProbeResult{Shard: s.Name(), Feas: f, Err: err.Error()})
 			continue
 		}
-		dec.Probes = append(dec.Probes, pr)
+		dec.Probes = append(dec.Probes, ProbeResult{Shard: s.Name(), Feas: f})
 		known = true
 		healthy += f.HealthyGPUs
 		if f.ServiceGPUSeconds > service {
@@ -251,7 +220,7 @@ func (r *Router) Route(now time.Duration, tenant string, res model.Resolution, s
 	case best < 0:
 		dec.Reason = ReasonInfeasible
 		dec.Slack = -worstCase
-		dec.RetryAfter = max(worstCase, r.cfg.MinRetryAfter)
+		dec.RetryAfter = max(worstCase, minRetryAfter)
 	default:
 		dec.Reason = ReasonRouted
 		dec.Accepted = true
@@ -268,7 +237,7 @@ func (r *Router) Route(now time.Duration, tenant string, res model.Resolution, s
 		dec.Shard = -1
 		dec.ShardName = ""
 		dec.CacheAssisted = false
-		dec.RetryAfter = r.cfg.MinRetryAfter
+		dec.RetryAfter = minRetryAfter
 	}
 	r.record(now, dec, service)
 	r.mu.Unlock()
@@ -281,7 +250,7 @@ func (r *Router) Route(now time.Duration, tenant string, res model.Resolution, s
 
 // prune drops ledger entries older than the fairness window (mu held).
 func (r *Router) prune(now time.Duration) {
-	cut := now - r.cfg.FairnessWindow
+	cut := now - fairnessWindow
 	i := 0
 	for ; i < len(r.ledger) && r.ledger[i].at < cut; i++ {
 		e := r.ledger[i]
@@ -297,11 +266,11 @@ func (r *Router) prune(now time.Duration) {
 // overloaded reports whether windowed admissions exceed fleet capacity
 // (mu held). healthy is the probe-time healthy GPU total across shards.
 func (r *Router) overloaded(now time.Duration, healthy int) bool {
-	window := r.cfg.FairnessWindow
+	window := fairnessWindow
 	if now < window {
 		window = max(now, time.Second)
 	}
-	capacity := r.cfg.OverloadFactor * float64(healthy) * window.Seconds()
+	capacity := overloadFactor * float64(healthy) * window.Seconds()
 	var admitted float64
 	for _, e := range r.ledger {
 		admitted += e.gpuSeconds
@@ -402,8 +371,9 @@ type Stats struct {
 	Unknown    int `json:"unknown_resolution"`
 	// EarlyRejectRate is (Infeasible+Shed)/Decisions.
 	EarlyRejectRate float64 `json:"early_reject_rate"`
-	// ProbeCacheHits/ProbeCacheMisses count per-shard probe lookups served
-	// from / filled into the probe cache (both 0 when ProbeTTL is unset).
+	// ProbeCacheHits/ProbeCacheMisses always read 0 (there is no probe
+	// cache); kept only because bench/sim.go reads them for a ledger row
+	// that a benchmark-archetype PR will drop.
 	ProbeCacheHits   int           `json:"probe_cache_hits,omitempty"`
 	ProbeCacheMisses int           `json:"probe_cache_misses,omitempty"`
 	Shards           []ShardStats  `json:"shards,omitempty"`
@@ -417,9 +387,6 @@ func (r *Router) Stats() Stats {
 	st := r.stats
 	if st.Decisions > 0 {
 		st.EarlyRejectRate = float64(st.Infeasible+st.Shed) / float64(st.Decisions)
-	}
-	if r.cache != nil {
-		st.ProbeCacheHits, st.ProbeCacheMisses = r.cache.counters()
 	}
 	st.Shards = make([]ShardStats, len(r.shards))
 	for i, s := range r.shards {

@@ -108,11 +108,26 @@ func TestRouteInfeasibleSetsRetryAfter(t *testing.T) {
 
 func TestRetryAfterFloorsAtMinimum(t *testing.T) {
 	a := &fakeShard{name: "a", feas: losing(10*time.Millisecond, 2)}
-	r := mustNew(t, Config{MinRetryAfter: 750 * time.Millisecond}, a)
+	r := mustNew(t, Config{}, a)
 
 	dec := r.Route(0, "", model.Res512, 0, time.Second)
-	if dec.RetryAfter != 750*time.Millisecond {
-		t.Fatalf("want floored Retry-After 750ms, got %v", dec.RetryAfter)
+	if dec.RetryAfter != time.Second {
+		t.Fatalf("want floored Retry-After 1s, got %v", dec.RetryAfter)
+	}
+}
+
+// TestEveryRouteProbesEveryShard: decisions always read live shard state, so
+// two identical submissions probe every shard twice. A probe cache in front
+// of the sweep would fail this.
+func TestEveryRouteProbesEveryShard(t *testing.T) {
+	a := &fakeShard{name: "a", feas: winnable(time.Second, 2)}
+	b := &fakeShard{name: "b", feas: losing(time.Second, 2)}
+	r := mustNew(t, Config{}, a, b)
+
+	r.Route(0, "t", model.Res512, 0, 2*time.Second)
+	r.Route(0, "t", model.Res512, 0, 2*time.Second)
+	if a.probes != 2 || b.probes != 2 {
+		t.Fatalf("probes = %d, %d, want 2, 2 (every decision live)", a.probes, b.probes)
 	}
 }
 
@@ -146,17 +161,16 @@ func TestErroringShardIsSkippedNotFatal(t *testing.T) {
 // the in-share tenant keeps being admitted.
 func TestWeightedFairShedding(t *testing.T) {
 	// One 2-GPU shard, always winnable with huge per-request cost so the
-	// window saturates fast: capacity = 0.85 × 2 GPUs × 10 s = 17 GPU·s;
-	// each admission books 10 GPU·s.
+	// window saturates fast: capacity = 0.85 × 2 GPUs × 60 s = 102 GPU·s;
+	// each admission books 60 GPU·s.
 	shard := &fakeShard{name: "a", feas: control.Feasibility{
-		Winnable: true, Slack: time.Second, HealthyGPUs: 2, ServiceGPUSeconds: 10,
+		Winnable: true, Slack: time.Second, HealthyGPUs: 2, ServiceGPUSeconds: 60,
 	}}
 	r := mustNew(t, Config{
-		FairnessWindow: 10 * time.Second,
-		TenantWeights:  map[string]float64{"heavy": 1, "light": 1},
+		TenantWeights: map[string]float64{"heavy": 1, "light": 1},
 	}, shard)
 
-	now := 30 * time.Second // past the window ramp so capacity is full-size
+	now := 3 * fairnessWindow // past the window ramp so capacity is full-size
 	var heavyShed, lightShed int
 	for i := 0; i < 12; i++ {
 		if dec := r.Route(now, "heavy", model.Res512, 0, time.Second); dec.Reason == ReasonShed {
@@ -166,7 +180,7 @@ func TestWeightedFairShedding(t *testing.T) {
 	}
 	// heavy has saturated the window; light arrives with cheap requests that
 	// stay well inside its share.
-	shard.feas.ServiceGPUSeconds = 0.1
+	shard.feas.ServiceGPUSeconds = 0.6
 	for i := 0; i < 4; i++ {
 		if dec := r.Route(now, "light", model.Res512, 0, time.Second); dec.Reason == ReasonShed {
 			lightShed++
@@ -190,11 +204,11 @@ func TestWeightedFairShedding(t *testing.T) {
 // while the fleet has headroom — shedding requires both conditions.
 func TestNoSheddingWithoutOverload(t *testing.T) {
 	shard := &fakeShard{name: "a", feas: control.Feasibility{
-		Winnable: true, Slack: time.Second, HealthyGPUs: 8, ServiceGPUSeconds: 0.1,
+		Winnable: true, Slack: time.Second, HealthyGPUs: 8, ServiceGPUSeconds: 0.6,
 	}}
-	r := mustNew(t, Config{FairnessWindow: 10 * time.Second}, shard)
+	r := mustNew(t, Config{}, shard)
 
-	now := 30 * time.Second
+	now := 3 * fairnessWindow
 	for i := 0; i < 20; i++ {
 		if dec := r.Route(now, "only", model.Res512, 0, time.Second); !dec.Accepted {
 			t.Fatalf("request %d rejected (%s) with an idle fleet", i, dec.Reason)
@@ -209,9 +223,9 @@ func TestLedgerPruning(t *testing.T) {
 	shard := &fakeShard{name: "a", feas: control.Feasibility{
 		Winnable: true, Slack: time.Second, HealthyGPUs: 2, ServiceGPUSeconds: 10,
 	}}
-	r := mustNew(t, Config{FairnessWindow: 10 * time.Second}, shard)
+	r := mustNew(t, Config{}, shard)
 
-	now := 20 * time.Second
+	now := 2 * fairnessWindow
 	for i := 0; i < 10; i++ {
 		r.Route(now, "t", model.Res512, 0, time.Second)
 		now += 50 * time.Millisecond

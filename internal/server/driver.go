@@ -84,8 +84,6 @@ type DriverConfig struct {
 	Speedup float64
 	// Cache optionally enables Nirvana-style step skipping.
 	Cache *cache.Cache
-	// EngineCfg overrides engine defaults.
-	EngineCfg *engine.Config
 	// AdmitAnyResolution profiles non-standard (but valid) resolutions on
 	// demand and derives their deadline by interpolating the SLO policy in
 	// token count; off, such submissions are rejected. Default off.
@@ -225,9 +223,6 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 		OnFinalized: d.plane.ObserveTimeline,
 	})
 	d.capacity = cfg.Topo.AllMask()
-	if cfg.EngineCfg != nil && cfg.EngineCfg.Capacity != 0 {
-		d.capacity = cfg.EngineCfg.Capacity & cfg.Topo.AllMask()
-	}
 	d.plane.SetClusterSize(cfg.Topo.N)
 	d.plane.BindGPUBusy(func() float64 {
 		d.mu.Lock()
@@ -622,16 +617,12 @@ func (d *Driver) retireLocked(j *Job) {
 // whose time has come, and inject channel-fed arrivals and fault commands
 // as they happen. The loop goroutine owns ctl exclusively.
 func (d *Driver) loop() {
-	engCfg := engine.DefaultConfig()
-	if d.cfg.EngineCfg != nil {
-		engCfg = *d.cfg.EngineCfg
-	}
 	ctlCfg := control.Config{
 		Model:          d.cfg.Model,
 		Topo:           d.cfg.Topo,
 		Scheduler:      d.cfg.Scheduler,
 		Profile:        d.prof,
-		Engine:         engCfg,
+		Engine:         engine.DefaultConfig(),
 		DropLateFactor: d.cfg.DropLateFactor,
 		// A live serving loop never stops ticking (capacity may free up or
 		// arrive at any moment) and never panics on scheduler bugs — it

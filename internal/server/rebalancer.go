@@ -21,7 +21,6 @@ import (
 
 	"tetriserve/internal/model"
 	"tetriserve/internal/rebalance"
-	"tetriserve/internal/router"
 	"tetriserve/internal/workload"
 )
 
@@ -45,9 +44,6 @@ type LiveRebalancerConfig struct {
 	// ProbeSLOScale scales the per-class SLO budgets used by the probes
 	// (default 1.5).
 	ProbeSLOScale float64
-	// Router, when set, has its probe cache invalidated after every applied
-	// move so stale pre-resize projections stop steering admissions.
-	Router *router.Router
 	// Logf receives move and error diagnostics (default: discarded).
 	Logf func(format string, args ...any)
 }
@@ -235,9 +231,6 @@ func (r *LiveRebalancer) decide() {
 			r.mu.Unlock()
 			r.logf("server: rebalanced 1 GPU %s → %s (%d → %d GPUs)",
 				loads[m.From].Name, loads[m.To].Name, counts[m.From], counts[m.To])
-			if r.cfg.Router != nil {
-				r.cfg.Router.InvalidateProbeCache()
-			}
 		}
 	}
 	r.mu.Lock()

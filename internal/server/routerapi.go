@@ -249,7 +249,7 @@ func (s *RemoteShard) FetchTimeline(key string) (*lifecycle.Timeline, bool, erro
 //	                           shard the trace was routed to
 //	GET  /v1/fleet           → one aggregated fleet document (router stats,
 //	                           per-shard stats + attainment + queue depth,
-//	                           probe-cache hit rate, rebalance history)
+//	                           rebalance history)
 //	GET  /metrics            → Prometheus text exposition (router metrics)
 //	GET  /healthz            → 200 ok
 //
@@ -501,18 +501,13 @@ type fleetRebalanceView struct {
 // fleetView is the GET /v1/fleet response: the fleet's health in one
 // document.
 type fleetView struct {
-	Router router.Stats `json:"router"`
-	// ProbeCacheHitRate is hits / (hits + misses), 0 when never probed.
-	ProbeCacheHitRate float64             `json:"probe_cache_hit_rate"`
-	Shards            []fleetShardView    `json:"shards"`
-	Rebalancer        *fleetRebalanceView `json:"rebalancer,omitempty"`
+	Router     router.Stats        `json:"router"`
+	Shards     []fleetShardView    `json:"shards"`
+	Rebalancer *fleetRebalanceView `json:"rebalancer,omitempty"`
 }
 
 func (a *RouterAPI) handleFleet(w http.ResponseWriter, _ *http.Request) {
 	view := fleetView{Router: a.rt.Stats()}
-	if probes := view.Router.ProbeCacheHits + view.Router.ProbeCacheMisses; probes > 0 {
-		view.ProbeCacheHitRate = float64(view.Router.ProbeCacheHits) / float64(probes)
-	}
 	for _, s := range a.shards {
 		sv := fleetShardView{Name: s.Name()}
 		if sf, ok := s.(StatsFetcher); ok {

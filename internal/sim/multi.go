@@ -28,8 +28,6 @@ type ShardSpec struct {
 	// Profile defaults to BuildProfile over the standard resolutions for
 	// this shard's topology.
 	Profile *costmodel.Profile
-	// Engine overrides execution physics for this shard.
-	Engine *engine.Config
 	// Capacity restricts the shard to a subset of its topology's GPUs at
 	// start (elastic serving: build shards on a common full-size topology
 	// and slice it, so rebalancing can grow a shard without changing its
@@ -48,8 +46,8 @@ type ShardedConfig struct {
 	// Tenant maps a request to its admission tenant; nil puts everyone in
 	// one tenant ("", weight 1).
 	Tenant func(r *workload.Request) string
-	// Router tunes admission (weights, fairness window, overload factor).
-	// Shards and Observer are wired by the harness.
+	// Router carries the tenant weights and an optional decision observer;
+	// shards are wired by the harness.
 	Router router.Config
 	// Rebalance enables elastic GPU rebalancing between shards: on a fixed
 	// virtual-time cadence the harness probes every shard, asks the policy
@@ -184,9 +182,6 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 				costmodel.NewEstimator(cfg.Model, spec.Topo), costmodel.ProfilerConfig{})
 		}
 		engCfg := engine.DefaultConfig()
-		if spec.Engine != nil {
-			engCfg = *spec.Engine
-		}
 		if spec.Capacity != 0 {
 			engCfg.Capacity = spec.Capacity
 		}

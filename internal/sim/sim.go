@@ -51,8 +51,6 @@ type Config struct {
 	Requests  []*workload.Request
 	// Profile defaults to BuildProfile over the trace's resolutions.
 	Profile *costmodel.Profile
-	// Engine defaults to engine.DefaultConfig.
-	Engine *engine.Config
 	// Trimmer optionally shortens requests via caching.
 	Trimmer StepTrimmer
 	// DropLateFactor > 0 drops a request once now exceeds
@@ -125,10 +123,6 @@ func newSimulator(cfg Config) (*simulator, error) {
 		cfg.Profile = costmodel.BuildProfile(
 			costmodel.NewEstimator(cfg.Model, cfg.Topo), costmodel.ProfilerConfig{})
 	}
-	engCfg := engine.DefaultConfig()
-	if cfg.Engine != nil {
-		engCfg = *cfg.Engine
-	}
 	if cfg.MaxVirtualTime <= 0 {
 		cfg.MaxVirtualTime = 4 * time.Hour
 	}
@@ -150,7 +144,7 @@ func newSimulator(cfg Config) (*simulator, error) {
 		Topo:             cfg.Topo,
 		Scheduler:        cfg.Scheduler,
 		Profile:          cfg.Profile,
-		Engine:           engCfg,
+		Engine:           engine.DefaultConfig(),
 		Trimmer:          cfg.Trimmer,
 		DropLateFactor:   cfg.DropLateFactor,
 		NoRequeueOnFault: cfg.NoRequeueOnFault,

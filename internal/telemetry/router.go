@@ -23,9 +23,6 @@ type RouterPlane struct {
 	byReason    map[router.Reason]*Counter
 	routedShard *CounterVec
 	shedTenant  *CounterVec
-	probeCache  *CounterVec
-	cacheHit    *Counter
-	cacheMiss   *Counter
 
 	mu          sync.Mutex
 	shardCells  map[string]*Counter
@@ -47,8 +44,6 @@ func NewRouterPlane(reg *Registry) *RouterPlane {
 			"Requests routed, by destination shard.", "shard"),
 		shedTenant: reg.CounterVec("tetriserve_router_shed_total",
 			"Requests shed under weighted-fair admission, by tenant.", "tenant"),
-		probeCache: reg.CounterVec("tetriserve_router_probe_cache_total",
-			"Per-shard feasibility probe lookups, by cache result (hit, miss).", "result"),
 		byReason:    map[router.Reason]*Counter{},
 		shardCells:  map[string]*Counter{},
 		tenantCells: map[string]*Counter{},
@@ -58,8 +53,6 @@ func NewRouterPlane(reg *Registry) *RouterPlane {
 	} {
 		p.byReason[reason] = p.decisions.With(string(reason))
 	}
-	p.cacheHit = p.probeCache.With("hit")
-	p.cacheMiss = p.probeCache.With("miss")
 	return p
 }
 
@@ -72,13 +65,6 @@ func (p *RouterPlane) Observe(dec router.Decision) {
 		p.byReason[dec.Reason] = c
 	}
 	c.Inc()
-	for _, pr := range dec.Probes {
-		if pr.Cached {
-			p.cacheHit.Inc()
-		} else {
-			p.cacheMiss.Inc()
-		}
-	}
 	switch dec.Reason {
 	case router.ReasonRouted:
 		sc, ok := p.shardCells[dec.ShardName]

@@ -140,7 +140,10 @@ func Profile(m *Model, t *Topology) *CostProfile {
 
 // DefaultSchedulerConfig returns the paper's default mechanism set: 5-step
 // granularity rounds, placement preservation, elastic scale-up, selective
-// batching, best-effort lane, eager admission.
+// batching, best-effort lane, eager admission, quantization-aware allocation,
+// step cache off. These switches are the whole configuration: the round cap,
+// per-round overhead, late-lane GPU cap and batching caps are constants of
+// internal/core.
 func DefaultSchedulerConfig() SchedulerConfig { return core.DefaultConfig() }
 
 // NewScheduler builds TetriServe's deadline-aware round-based scheduler.

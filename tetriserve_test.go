@@ -3,13 +3,29 @@ package tetriserve_test
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	tetriserve "tetriserve"
+	"tetriserve/internal/control"
+	"tetriserve/internal/core"
+	"tetriserve/internal/engine"
+	"tetriserve/internal/lifecycle"
+	"tetriserve/internal/rebalance"
+	"tetriserve/internal/router"
+	"tetriserve/internal/server"
+	"tetriserve/internal/sim"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/options.golden")
 
 // TestFacadeEndToEnd drives the whole public API: profile, schedule,
 // simulate, measure — the quickstart path a downstream user takes.
@@ -144,5 +160,42 @@ func TestStandardResolutionAliases(t *testing.T) {
 	}
 	if tetriserve.SkewedMix(1.0).Name() == tetriserve.UniformMix().Name() {
 		t.Fatal("mix constructors wrong")
+	}
+}
+
+// TestOptionCensus pins every independently settable config field as a sorted
+// Type.Field list, so a new option shows up as a golden diff in review; the
+// file's line count is the number ROADMAP aim 2 tracks. Regenerate with
+// `go test . -run TestOptionCensus -update`.
+func TestOptionCensus(t *testing.T) {
+	var fields []string
+	for _, cfg := range []any{
+		core.Config{}, router.Config{}, control.Config{}, engine.Config{},
+		rebalance.Config{}, sim.Config{}, sim.ShardSpec{}, sim.ShardedConfig{},
+		sim.RebalanceConfig{}, server.DriverConfig{}, server.LiveRebalancerConfig{},
+		lifecycle.Config{},
+	} {
+		typ := reflect.TypeOf(cfg)
+		for i := 0; i < typ.NumField(); i++ {
+			fields = append(fields, typ.String()+"."+typ.Field(i).Name)
+		}
+	}
+	sort.Strings(fields)
+	got := strings.Join(fields, "\n") + "\n"
+
+	path := filepath.Join("testdata", "options.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("config fields diverged from %s; review, then regenerate with -update.\n--- got ---\n%s--- want ---\n%s",
+			path, got, want)
 	}
 }
