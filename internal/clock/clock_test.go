@@ -76,6 +76,35 @@ func TestVirtualConcurrentReads(t *testing.T) {
 	}
 }
 
+// A reader racing Advance never sees time run backwards: the clock holds no
+// lock, so monotonicity rests on Advance's compare-and-swap alone.
+func TestVirtualConcurrentAdvanceMonotone(t *testing.T) {
+	v := NewVirtual()
+	done := make(chan struct{})
+	go func() {
+		for i := 1; i <= 1000; i++ {
+			v.Advance(time.Duration(i) * time.Millisecond)
+		}
+		close(done)
+	}()
+	var last time.Duration
+	for {
+		now := v.Now()
+		if now < last {
+			t.Fatalf("Now() went backwards: %v after %v", now, last)
+		}
+		last = now
+		select {
+		case <-done:
+			if got := v.Now(); got != time.Second {
+				t.Fatalf("Now() = %v, want 1s", got)
+			}
+			return
+		default:
+		}
+	}
+}
+
 func TestRealSpeedup(t *testing.T) {
 	r := NewReal(100)
 	time.Sleep(20 * time.Millisecond)

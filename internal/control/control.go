@@ -206,25 +206,8 @@ type Config struct {
 	// driver leaves it off: a serving loop counts the failure in Result and
 	// retries at the next event.
 	Strict bool
-	// Preallocate sizes the result accumulators up front so steady-state
-	// operation (and the 0-allocs/op benchmark guards) never pays append
-	// growth. Zero fields fall back to on-demand growth.
-	Preallocate Prealloc
 	// Hooks receive lifecycle callbacks.
 	Hooks Hooks
-}
-
-// Prealloc hints expected volumes for result accumulators; see
-// Config.Preallocate.
-type Prealloc struct {
-	// Requests is the expected number of admitted requests (sizes Outcomes
-	// and the tracker maps).
-	Requests int
-	// Runs is the expected number of executed blocks (sizes Runs and the
-	// run-record request arena).
-	Runs int
-	// Rounds is the expected number of planning rounds (sizes PlanLatencies).
-	Rounds int
 }
 
 // Event kinds on the loop's queue. Arrivals and faults appear only when the
@@ -301,31 +284,20 @@ func New(cfg Config, clk clock.Clock) (*Loop, error) {
 	if clk == nil {
 		return nil, fmt.Errorf("control: clock is required")
 	}
-	pre := cfg.Preallocate
 	l := &Loop{
 		cfg:      cfg,
 		clk:      clk,
 		eng:      engine.New(cfg.Model, cfg.Topo, cfg.Profile, cfg.Engine),
-		states:   make(map[workload.RequestID]*sched.RequestState, max(pre.Requests, 0)),
+		states:   make(map[workload.RequestID]*sched.RequestState),
 		inflight: make(map[engine.RunID]*engine.Run),
 		runEv:    make(map[engine.RunID]eventq.Handle),
-		done:     make(map[workload.RequestID]bool, max(pre.Requests, 0)),
+		done:     make(map[workload.RequestID]bool),
 		res: &Result{
 			SchedulerName: cfg.Scheduler.Name(),
 			NGPU:          cfg.Topo.N,
 		},
 		roundBased: cfg.Scheduler.RoundDuration() > 0,
 		tau:        cfg.Scheduler.RoundDuration(),
-	}
-	if pre.Requests > 0 {
-		l.res.Outcomes = make([]Outcome, 0, pre.Requests)
-	}
-	if pre.Runs > 0 {
-		l.res.Runs = make([]RunRecord, 0, pre.Runs)
-		l.recArena = make([]workload.RequestID, 0, 2*pre.Runs)
-	}
-	if pre.Rounds > 0 {
-		l.res.PlanLatencies = make([]time.Duration, 0, pre.Rounds)
 	}
 	if o, ok := cfg.Scheduler.(interface{ Overhead() time.Duration }); ok {
 		l.schedOver = o.Overhead()

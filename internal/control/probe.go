@@ -85,91 +85,130 @@ type Feasibility struct {
 // router maps this to a client error rather than a 429.
 //
 // Like every other Loop method, ProbeFeasibility must run on the goroutine
-// that owns the loop (the driver exposes it via a channel round-trip).
+// that owns the loop (the driver exposes it via a channel round-trip). It is
+// the one-class case of ProbeClasses.
 func (l *Loop) ProbeFeasibility(res model.Resolution, steps int, slo time.Duration) (Feasibility, error) {
-	if !l.cfg.Profile.Has(res) {
-		return Feasibility{}, fmt.Errorf("control: %v not in profile", res)
-	}
-	if steps <= 0 {
-		steps = l.cfg.Model.DefaultSteps
+	var f [1]Feasibility
+	err := l.ProbeClasses([]ProbeClass{{Res: res, Steps: steps, SLO: slo}}, f[:])
+	return f[0], err
+}
+
+// ProbeClass is one hypothetical request shape for ProbeClasses; Steps ≤ 0
+// defaults to the model's step count.
+type ProbeClass struct {
+	Res   model.Resolution
+	Steps int
+	SLO   time.Duration
+}
+
+// ProbeClasses projects feasibility for several request shapes at the same
+// instant: out[i] is field-for-field what ProbeFeasibility returns for
+// classes[i], but the backlog — the part every class shares — is walked once
+// rather than once per class. out must be at least as long as classes. A
+// class whose resolution is not profiled is an error, and then nothing is
+// filled. Like ProbeFeasibility it mutates no loop state.
+func (l *Loop) ProbeClasses(classes []ProbeClass, out []Feasibility) error {
+	for _, c := range classes {
+		if !l.cfg.Profile.Has(c.Res) {
+			return fmt.Errorf("control: %v not in profile", c.Res)
+		}
 	}
 	now := l.clk.Now()
-	f := Feasibility{
-		Now:         now,
-		Deadline:    now + slo,
-		HealthyGPUs: l.eng.HealthyGPUs(),
-		FreeGPUs:    l.eng.Free().Count(),
-		Running:     len(l.running),
-	}
-	// Degrees the shard cannot form (profile calibrated on the full node,
-	// capacity elastically shrunk below it) must not leak into the bound, or
-	// a 2-GPU shard would promise 8-way step times it can never run.
-	f.MinStepTime, f.MinStepDegree = l.minStepTimeWithin(res, f.HealthyGPUs)
-	f.ServiceGPUSeconds = float64(steps) * l.minGPUSecondsWithin(res, f.HealthyGPUs)
-	f.MaxCacheInterval = l.maxCacheInterval()
-	if f.HealthyGPUs <= 0 {
-		// A fully failed pool can never win; pin the projection at the
-		// deadline horizon so Slack reports "late by the whole budget".
-		f.ProjectedStart = f.Deadline
-		f.ProjectedFinish = f.Deadline + slo
-		f.Slack = f.Deadline - f.ProjectedFinish
-		f.CachedFinish = f.ProjectedFinish
-		return f, nil
-	}
+	healthy := l.eng.HealthyGPUs()
+	free := l.eng.Free()
+	maxCache := l.maxCacheInterval()
 
 	// Backlog: every tracked, unfinished request costed at its cheapest
 	// profiled degree. The pending list may hold stale entries for requests
 	// that finished out of a block (same filter snapshotPending applies);
-	// running requests are counted by their remaining steps only.
+	// running requests are counted by their remaining steps only. A fully
+	// failed pool skips the walk: no projection reads it.
 	var backlog float64
-	for _, st := range l.pending {
-		if st.Running || st.Remaining <= 0 || l.done[st.Req.ID] {
-			continue
+	pending := 0
+	if healthy > 0 {
+		for _, st := range l.pending {
+			if st.Running || st.Remaining <= 0 || l.done[st.Req.ID] {
+				continue
+			}
+			pending++
+			backlog += float64(st.Remaining) * l.minGPUSecondsWithin(st.Req.Res, healthy)
 		}
-		f.Pending++
-		backlog += float64(st.Remaining) * l.minGPUSecondsWithin(st.Req.Res, f.HealthyGPUs)
-	}
-	for _, st := range l.running {
-		if st.Remaining <= 0 {
-			continue
+		for _, st := range l.running {
+			if st.Remaining <= 0 {
+				continue
+			}
+			backlog += float64(st.Remaining) * l.minGPUSecondsWithin(st.Req.Res, healthy)
 		}
-		backlog += float64(st.Remaining) * l.minGPUSecondsWithin(st.Req.Res, f.HealthyGPUs)
 	}
-	f.QueueGPUSeconds = backlog
-	queueWait := time.Duration(backlog / float64(f.HealthyGPUs) * float64(time.Second))
 
 	// Boundary wait mirrors the arrival path's planning condition: a
 	// non-round-based loop plans on every arrival, and an eager round-based
 	// loop plans immediately whenever a GPU is free; otherwise the request
 	// waits out the current round.
 	var boundary time.Duration
-	if l.roundBased && !(l.eager && l.eng.Free() != 0) {
+	if l.roundBased && !(l.eager && free != 0) {
 		boundary = l.tau
 	}
 
-	f.ProjectedStart = now + boundary + queueWait
-	f.ProjectedFinish = f.ProjectedStart + time.Duration(steps)*f.MinStepTime + l.dispatchDelay()
-	f.Winnable = f.ProjectedFinish <= f.Deadline
-	f.Slack = f.Deadline - f.ProjectedFinish
-
-	// Cache-assisted projection: the same fluid bound with every approximable
-	// step (outside the protected first/last N, ignoring any per-request
-	// budget — the probed request is hypothetical and has none yet) served at
-	// the γ-discounted cost. With caching off this collapses to the plain
-	// projection exactly (a = 0 path is not taken; the fields are copied).
-	f.CachedFinish = f.ProjectedFinish
-	f.CachedWinnable = f.Winnable
-	if f.MaxCacheInterval > 1 {
-		a := sched.ApproxSteps(steps-2*sched.CacheProtectedSteps, f.MaxCacheInterval)
-		if a > 0 {
-			gamma := l.cfg.Profile.CachedStepRelCost()
-			service := time.Duration(steps-a)*f.MinStepTime +
-				time.Duration(float64(a)*gamma*float64(f.MinStepTime))
-			f.CachedFinish = f.ProjectedStart + service + l.dispatchDelay()
-			f.CachedWinnable = f.CachedFinish <= f.Deadline
+	for i, c := range classes {
+		steps := c.Steps
+		if steps <= 0 {
+			steps = l.cfg.Model.DefaultSteps
 		}
+		f := Feasibility{
+			Now:              now,
+			Deadline:         now + c.SLO,
+			HealthyGPUs:      healthy,
+			FreeGPUs:         free.Count(),
+			Running:          len(l.running),
+			MaxCacheInterval: maxCache,
+		}
+		// Degrees the shard cannot form (profile calibrated on the full
+		// node, capacity elastically shrunk below it) must not leak into the
+		// bound, or a 2-GPU shard would promise 8-way step times it can
+		// never run.
+		f.MinStepTime, f.MinStepDegree = l.minStepTimeWithin(c.Res, healthy)
+		f.ServiceGPUSeconds = float64(steps) * l.minGPUSecondsWithin(c.Res, healthy)
+		if healthy <= 0 {
+			// A fully failed pool can never win; pin the projection at the
+			// deadline horizon so Slack reports "late by the whole budget".
+			f.ProjectedStart = f.Deadline
+			f.ProjectedFinish = f.Deadline + c.SLO
+			f.Slack = f.Deadline - f.ProjectedFinish
+			f.CachedFinish = f.ProjectedFinish
+			out[i] = f
+			continue
+		}
+		f.Pending = pending
+		f.QueueGPUSeconds = backlog
+		queueWait := time.Duration(backlog / float64(healthy) * float64(time.Second))
+
+		f.ProjectedStart = now + boundary + queueWait
+		f.ProjectedFinish = f.ProjectedStart + time.Duration(steps)*f.MinStepTime + l.dispatchDelay()
+		f.Winnable = f.ProjectedFinish <= f.Deadline
+		f.Slack = f.Deadline - f.ProjectedFinish
+
+		// Cache-assisted projection: the same fluid bound with every
+		// approximable step (outside the protected first/last N, ignoring
+		// any per-request budget — the probed request is hypothetical and
+		// has none yet) served at the γ-discounted cost. With caching off
+		// this collapses to the plain projection exactly (a = 0 path is not
+		// taken; the fields are copied).
+		f.CachedFinish = f.ProjectedFinish
+		f.CachedWinnable = f.Winnable
+		if f.MaxCacheInterval > 1 {
+			a := sched.ApproxSteps(steps-2*sched.CacheProtectedSteps, f.MaxCacheInterval)
+			if a > 0 {
+				gamma := l.cfg.Profile.CachedStepRelCost()
+				service := time.Duration(steps-a)*f.MinStepTime +
+					time.Duration(float64(a)*gamma*float64(f.MinStepTime))
+				f.CachedFinish = f.ProjectedStart + service + l.dispatchDelay()
+				f.CachedWinnable = f.CachedFinish <= f.Deadline
+			}
+		}
+		out[i] = f
 	}
-	return f, nil
+	return nil
 }
 
 // maxCacheInterval reports the scheduler's step-cache ceiling via an optional

@@ -2,12 +2,14 @@ package control
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"tetriserve/internal/clock"
 	"tetriserve/internal/core"
 	"tetriserve/internal/costmodel"
+	"tetriserve/internal/engine"
 	"tetriserve/internal/model"
 	"tetriserve/internal/simgpu"
 	"tetriserve/internal/workload"
@@ -248,5 +250,151 @@ func TestProbeAgreesWithSingleShotOutcome(t *testing.T) {
 	}
 	if ratio := float64(agree) / trials; ratio < 0.95 {
 		t.Fatalf("probe agreement %.1f%% < 95%%", 100*ratio)
+	}
+}
+
+// TestProbeClassesMatchesProbeFeasibility: the single backlog walk must be
+// invisible. Over random loop states — pending and running work, a shrunk
+// capacity, failed GPUs up to the whole pool, the step cache on and off —
+// every class ProbeClasses fills equals, field for field, what a separate
+// ProbeFeasibility call returns at the same instant.
+func TestProbeClassesMatchesProbeFeasibility(t *testing.T) {
+	mdl := model.FLUX()
+	topo := simgpu.H100x8()
+	prof := costmodel.BuildProfile(costmodel.NewEstimator(mdl, topo), costmodel.ProfilerConfig{})
+	shapes := model.StandardResolutions()
+	rng := rand.New(rand.NewSource(27))
+	var saw struct{ pending, running, shrunk, dead, cached bool }
+
+	for trial := 0; trial < 60; trial++ {
+		coreCfg := core.DefaultConfig()
+		if trial%2 == 1 {
+			coreCfg.MaxCacheInterval = 4
+		}
+		engCfg := engine.DefaultConfig()
+		if trial%3 == 1 {
+			engCfg.Capacity = simgpu.MaskRange(0, 1+rng.Intn(4))
+		}
+		clk := clock.NewVirtual()
+		l, err := New(Config{
+			Model: mdl, Topo: topo, Profile: prof, Engine: engCfg,
+			Scheduler: core.NewScheduler(prof, topo, coreCfg),
+		}, clk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace := workload.Generate(workload.GeneratorConfig{
+			Model: mdl, Seed: uint64(trial + 1), NumRequests: 10 + rng.Intn(60),
+			Arrivals: workload.NewBurstyArrivals(60 + float64(rng.Intn(240))),
+		})
+		for _, r := range trace {
+			l.ScheduleArrival(r)
+		}
+		l.Begin()
+		for n := rng.Intn(400); n > 0 && l.Unfinished() > 0; n-- {
+			ev := l.PopEvent()
+			if ev == nil {
+				break
+			}
+			clk.Advance(ev.At)
+			if err := l.Dispatch(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		switch trial % 5 {
+		case 2:
+			l.Fail(simgpu.MaskOf(simgpu.GPUID(rng.Intn(topo.N))))
+		case 4:
+			l.Fail(topo.AllMask())
+		}
+
+		classes := make([]ProbeClass, 1+rng.Intn(6))
+		for i := range classes {
+			classes[i] = ProbeClass{
+				Res:   shapes[rng.Intn(len(shapes))],
+				Steps: rng.Intn(3) * 25, // 0 defaults to the model's count
+				SLO:   time.Duration(rng.Intn(40_000)) * time.Millisecond,
+			}
+		}
+		got := make([]Feasibility, len(classes))
+		if err := l.ProbeClasses(classes, got); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range classes {
+			want, err := l.ProbeFeasibility(c.Res, c.Steps, c.SLO)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("trial %d class %d %+v:\n  ProbeClasses:     %+v\n  ProbeFeasibility: %+v",
+					trial, i, c, got[i], want)
+			}
+		}
+		f := got[0]
+		saw.pending = saw.pending || f.Pending > 0
+		saw.running = saw.running || f.Running > 0
+		saw.shrunk = saw.shrunk || (f.HealthyGPUs > 0 && f.HealthyGPUs < topo.N)
+		saw.dead = saw.dead || f.HealthyGPUs == 0
+		saw.cached = saw.cached || f.MaxCacheInterval > 1
+	}
+	if !saw.pending || !saw.running || !saw.shrunk || !saw.dead || !saw.cached {
+		t.Fatalf("sweep missed a state: %+v", saw)
+	}
+}
+
+// An unprofiled class fails the whole call and fills nothing.
+func TestProbeClassesUnprofiledClassErrors(t *testing.T) {
+	l, _, _ := newProbeLoop(t)
+	out := make([]Feasibility, 2)
+	err := l.ProbeClasses([]ProbeClass{
+		{Res: model.Res512, SLO: time.Second},
+		{Res: model.Resolution{W: 48, H: 48}, SLO: time.Second},
+	}, out)
+	if err == nil {
+		t.Fatal("want error for an unprofiled class")
+	}
+	if out[0] != (Feasibility{}) {
+		t.Fatalf("failed call filled a class: %+v", out[0])
+	}
+}
+
+// BenchmarkProbeClasses prices one rebalancer-style probe of the four
+// standard classes against a loaded 8-GPU loop.
+func BenchmarkProbeClasses(b *testing.B) {
+	mdl := model.FLUX()
+	topo := simgpu.H100x8()
+	prof := costmodel.BuildProfile(costmodel.NewEstimator(mdl, topo), costmodel.ProfilerConfig{})
+	clk := clock.NewVirtual()
+	l, err := New(Config{
+		Model: mdl, Topo: topo, Profile: prof, Engine: engine.DefaultConfig(),
+		Scheduler: core.NewScheduler(prof, topo, core.DefaultConfig()),
+	}, clk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, r := range workload.Generate(workload.GeneratorConfig{
+		Model: mdl, Seed: 1, NumRequests: 200, Arrivals: workload.NewBurstyArrivals(600),
+	}) {
+		l.ScheduleArrival(r)
+	}
+	l.Begin()
+	for n := 0; n < 300; n++ {
+		ev := l.PopEvent()
+		clk.Advance(ev.At)
+		if err := l.Dispatch(ev); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var classes []ProbeClass
+	for _, res := range model.StandardResolutions() {
+		classes = append(classes, ProbeClass{Res: res, SLO: 10 * time.Second})
+	}
+	out := make([]Feasibility, len(classes))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := l.ProbeClasses(classes, out); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

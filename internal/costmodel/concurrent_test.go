@@ -44,6 +44,7 @@ func TestProfileConcurrentReadsUnderSimulations(t *testing.T) {
 				for _, res := range resolutions {
 					for _, k := range degrees {
 						_ = prof.StepTime(res, k)
+						_ = prof.StepTimeBatch(res, k, 4)
 						_, _ = prof.Lookup(res, k, 1)
 						_ = prof.GPUSeconds(res, k)
 					}

@@ -133,3 +133,57 @@ func TestProfileVersionAfterUnmarshal(t *testing.T) {
 		t.Fatalf("reloading did not bump version: %d -> %d", before, fresh.Version())
 	}
 }
+
+// TestProfileUnmarshalRejectsWithoutSideEffects: every malformed table is
+// refused as a whole — the receiver keeps its previous contents, version
+// included, so a failed reload can never leave a half-loaded profile (or
+// out-of-range indices into the dense table) behind.
+func TestProfileUnmarshalRejectsWithoutSideEffects(t *testing.T) {
+	const e11 = `{"w":256,"h":256,"degree":1,"batch":1,"mean_us":100}`
+	const e21 = `{"w":256,"h":256,"degree":2,"batch":1,"mean_us":60}`
+	cases := map[string]string{
+		"not json":             `not json`,
+		"no degrees":           `{"entries":[` + e11 + `]}`,
+		"no entries":           `{"degrees":[1],"entries":[]}`,
+		"gamma above one":      `{"degrees":[1],"cached_step_rel_cost":1.5,"entries":[` + e11 + `]}`,
+		"zero degree listed":   `{"degrees":[0,1],"entries":[` + e11 + `]}`,
+		"unsorted degrees":     `{"degrees":[2,1],"entries":[` + e11 + `,` + e21 + `]}`,
+		"duplicate degrees":    `{"degrees":[1,1],"entries":[` + e11 + `]}`,
+		"degree above mask":    `{"degrees":[1,128],"entries":[` + e11 + `]}`,
+		"zero entry degree":    `{"degrees":[1],"entries":[` + e11 + `,{"w":256,"h":256,"degree":0,"batch":1,"mean_us":100}]}`,
+		"entry degree too big": `{"degrees":[1],"entries":[` + e11 + `,{"w":256,"h":256,"degree":2,"batch":1,"mean_us":100}]}`,
+		"zero batch":           `{"degrees":[1],"entries":[` + e11 + `,{"w":256,"h":256,"degree":1,"batch":0,"mean_us":100}]}`,
+		"negative batch":       `{"degrees":[1],"entries":[` + e11 + `,{"w":256,"h":256,"degree":1,"batch":-2,"mean_us":100}]}`,
+		"huge batch":           `{"degrees":[1],"entries":[` + e11 + `,{"w":256,"h":256,"degree":1,"batch":1000000,"mean_us":100}]}`,
+		"invalid resolution":   `{"degrees":[1],"entries":[{"w":17,"h":17,"degree":1,"batch":1,"mean_us":100}]}`,
+		"zero mean":            `{"degrees":[1],"entries":[{"w":256,"h":256,"degree":1,"batch":1,"mean_us":0}]}`,
+		"bad entry last":       `{"degrees":[1,2],"entries":[` + e11 + `,` + e21 + `,{"w":256,"h":256,"degree":2,"batch":2,"mean_us":-1}]}`,
+		"missing k=2 bs=1":     `{"degrees":[1,2],"entries":[` + e11 + `,{"w":256,"h":256,"degree":2,"batch":2,"mean_us":50}]}`,
+	}
+	for name, in := range cases {
+		t.Run(name, func(t *testing.T) {
+			p := buildFluxProfile(t)
+			before, err := json.Marshal(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			version := p.Version()
+			if err := json.Unmarshal([]byte(in), p); err == nil {
+				t.Fatalf("invalid profile %s accepted", in)
+			}
+			after, err := json.Marshal(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(after) != string(before) || p.Version() != version {
+				t.Fatalf("rejected load changed the receiver (version %d -> %d)", version, p.Version())
+			}
+		})
+	}
+
+	// The smallest table the rules admit still loads.
+	var p Profile
+	if err := json.Unmarshal([]byte(`{"degrees":[1,2],"entries":[`+e11+`,`+e21+`]}`), &p); err != nil {
+		t.Fatalf("minimal valid profile rejected: %v", err)
+	}
+}

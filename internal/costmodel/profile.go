@@ -31,11 +31,17 @@ type Entry struct {
 // and derived GPU-seconds. Lookups never touch the analytical model, exactly
 // as the paper's scheduler only reads pre-profiled values.
 //
-// Concurrency: after BuildProfile returns, every lookup method (StepTime,
-// StepTimeBatch, MinStepTime, Lookup, Degrees, Resolutions, Has, …) is safe
-// for concurrent readers — the table is never mutated by reads, so any
-// number of simulations or schedulers may share one Profile. Extend is the
-// single writer and must not run concurrently with readers; the live server
+// The table is stored as a dense read index: one row per profiled
+// resolution, each a flat array indexed by degree × batch, so a lookup is a
+// short linear scan over the rows plus one array index — no hashing on the
+// planner's and the probe's hot paths.
+//
+// Concurrency: every writer (BuildProfile, Extend, UnmarshalJSON) builds the
+// complete index before it returns; nothing is built lazily, so every lookup
+// method (StepTime, StepTimeBatch, MinStepTime, Lookup, Degrees,
+// Resolutions, Has, …) is safe for any number of concurrent readers and any
+// number of simulations or schedulers may share one Profile. Extend and
+// UnmarshalJSON must not run concurrently with readers; the live server
 // guarantees this by calling Extend only on the loop goroutine that owns all
 // profile reads (see internal/server). Extend bumps Version so cached
 // derivations (e.g. the scheduler's allocation memo) can invalidate.
@@ -46,7 +52,8 @@ type Profile struct {
 	// profiling; the engine reuses it when executing.
 	Noise   float64
 	degrees []int
-	entries map[Key]Entry
+	// rows is the dense index, sorted by pixel count (then width).
+	rows []profileRow
 	// cachedRelCost is γ, the relative cost of a cache-approximated step
 	// (TaylorSeer/cache-dit style residual reuse): a cached step still pays
 	// γ·T for the shallow layers and the residual patch-up. 0 < γ ≤ 1.
@@ -55,6 +62,58 @@ type Profile struct {
 	// recalibrations) so readers holding derived caches can detect staleness
 	// cheaply.
 	version uint64
+}
+
+// profileRow holds one resolution's entries: cells[k*stride+bs] is the entry
+// for degree k and batch bs. A cell with a zero Mean is unprofiled; writers
+// never store a non-positive mean.
+type profileRow struct {
+	res    model.Resolution
+	stride int // largest profiled batch + 1
+	cells  []Entry
+}
+
+// indexEntries builds the dense rows for a set of entries, sorted by pixel
+// count then width so iteration (Resolutions, MarshalJSON) is deterministic.
+// Keys must carry positive degrees and batches.
+func indexEntries(entries map[Key]Entry) []profileRow {
+	type dims struct{ maxK, maxBS int }
+	shape := map[model.Resolution]dims{}
+	for k := range entries {
+		d := shape[k.Res]
+		shape[k.Res] = dims{max(d.maxK, k.Degree), max(d.maxBS, k.Batch)}
+	}
+	rows := make([]profileRow, 0, len(shape))
+	for res, d := range shape {
+		rows = append(rows, profileRow{
+			res:    res,
+			stride: d.maxBS + 1,
+			cells:  make([]Entry, (d.maxK+1)*(d.maxBS+1)),
+		})
+	}
+	sortRows(rows)
+	for k, e := range entries {
+		for i := range rows {
+			if r := &rows[i]; r.res == k.Res {
+				r.cells[k.Degree*r.stride+k.Batch] = e
+				break
+			}
+		}
+	}
+	return rows
+}
+
+func sortRows(rows []profileRow) {
+	sort.Slice(rows, func(i, j int) bool {
+		a, b := rows[i].res, rows[j].res
+		if a.Pixels() != b.Pixels() {
+			return a.Pixels() < b.Pixels()
+		}
+		if a.W != b.W {
+			return a.W < b.W
+		}
+		return a.H < b.H
+	})
 }
 
 // DefaultCachedStepRelCost is the calibrated relative cost γ of a
@@ -72,10 +131,23 @@ func (p *Profile) Degrees() []int { return p.degrees }
 // MaxDegree returns the largest profiled degree.
 func (p *Profile) MaxDegree() int { return p.degrees[len(p.degrees)-1] }
 
-// Lookup returns the entry for an exact key.
+// Lookup returns the entry for an exact key; it is the one read path into
+// the dense index.
 func (p *Profile) Lookup(res model.Resolution, k, bs int) (Entry, bool) {
-	e, ok := p.entries[Key{res, k, bs}]
-	return e, ok
+	for i := range p.rows {
+		r := &p.rows[i]
+		if r.res != res {
+			continue
+		}
+		if k <= 0 || bs <= 0 || bs >= r.stride {
+			return Entry{}, false
+		}
+		if c := k*r.stride + bs; c < len(r.cells) && r.cells[c].Mean > 0 {
+			return r.cells[c], true
+		}
+		return Entry{}, false
+	}
+	return Entry{}, false
 }
 
 // StepTime returns the profiled per-step latency at degree k, batch 1.
@@ -87,7 +159,7 @@ func (p *Profile) StepTime(res model.Resolution, k int) time.Duration {
 
 // StepTimeBatch returns the profiled per-step latency for a batch of bs.
 func (p *Profile) StepTimeBatch(res model.Resolution, k, bs int) time.Duration {
-	e, ok := p.entries[Key{res, k, bs}]
+	e, ok := p.Lookup(res, k, bs)
 	if !ok {
 		panic(fmt.Sprintf("costmodel: unprofiled configuration %v k=%d bs=%d", res, k, bs))
 	}
@@ -168,21 +240,16 @@ func (p *Profile) BestLatencyDegree(res model.Resolution) int {
 
 // Resolutions returns the profiled resolutions sorted by token count.
 func (p *Profile) Resolutions() []model.Resolution {
-	seen := map[model.Resolution]bool{}
-	var out []model.Resolution
-	for k := range p.entries {
-		if !seen[k.Res] {
-			seen[k.Res] = true
-			out = append(out, k.Res)
-		}
+	out := make([]model.Resolution, len(p.rows))
+	for i, r := range p.rows {
+		out[i] = r.res
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pixels() < out[j].Pixels() })
 	return out
 }
 
 // Has reports whether res was profiled at degree 1, batch 1.
 func (p *Profile) Has(res model.Resolution) bool {
-	_, ok := p.entries[Key{res, 1, 1}]
+	_, ok := p.Lookup(res, 1, 1)
 	return ok
 }
 
@@ -238,10 +305,10 @@ func BuildProfile(est *Estimator, cfg ProfilerConfig) *Profile {
 		TopoName:      est.Topo.Name,
 		Noise:         cfg.Noise,
 		degrees:       est.Topo.Degrees(),
-		entries:       make(map[Key]Entry),
 		cachedRelCost: cfg.CachedStepRelCost,
 		version:       1,
 	}
+	entries := make(map[Key]Entry)
 	for _, res := range cfg.Resolutions {
 		for _, k := range p.degrees {
 			group := simgpu.CanonicalGroup(0, k)
@@ -252,7 +319,7 @@ func BuildProfile(est *Estimator, cfg ProfilerConfig) *Profile {
 					sample := Jitter(mean, cfg.Noise, rng)
 					acc.Add(sample.Seconds())
 				}
-				p.entries[Key{res, k, bs}] = Entry{
+				entries[Key{res, k, bs}] = Entry{
 					Mean:    time.Duration(acc.Mean() * float64(time.Second)),
 					CV:      acc.CV(),
 					Samples: cfg.Samples,
@@ -260,6 +327,7 @@ func BuildProfile(est *Estimator, cfg ProfilerConfig) *Profile {
 			}
 		}
 	}
+	p.rows = indexEntries(entries)
 	return p
 }
 
@@ -280,9 +348,8 @@ func (p *Profile) Extend(est *Estimator, res model.Resolution) {
 		Noise:       p.Noise,
 		Seed:        uint64(res.W)<<20 ^ uint64(res.H) ^ 42,
 	})
-	for k, e := range sub.entries {
-		p.entries[k] = e
-	}
+	p.rows = append(p.rows, sub.rows...)
+	sortRows(p.rows)
 	p.version++
 }
 

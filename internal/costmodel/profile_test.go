@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
@@ -217,4 +218,101 @@ func TestExtendRejectsInvalidResolution(t *testing.T) {
 		}
 	}()
 	p.Extend(fluxEst(), model.Resolution{W: 17, H: 17})
+}
+
+// TestDenseIndexMatchesEntries: the dense read index answers exactly the
+// profiled keys, through every reader, after each writer. The oracle is the
+// profile's serialized entry list — the persisted artifact. Keys it does not
+// list must be unprofiled: Lookup says so and StepTimeBatch panics.
+func TestDenseIndexMatchesEntries(t *testing.T) {
+	check := func(t *testing.T, p *Profile, exact bool) {
+		t.Helper()
+		data, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var in profileJSON
+		if err := json.Unmarshal(data, &in); err != nil {
+			t.Fatal(err)
+		}
+		want := map[Key]profileEntryJSON{}
+		for _, e := range in.Entries {
+			want[Key{model.Resolution{W: e.W, H: e.H}, e.Degree, e.Batch}] = e
+		}
+		for key, e := range want {
+			got, ok := p.Lookup(key.Res, key.Degree, key.Batch)
+			if !ok || got.Mean.Microseconds() != e.MeanUS || got.CV != e.CV || got.Samples != e.Samples {
+				t.Fatalf("Lookup%v = %+v, %v; want %+v", key, got, ok, e)
+			}
+			if exact && got.Mean != time.Duration(e.MeanUS)*time.Microsecond {
+				t.Fatalf("Lookup%v mean %v, want exactly %dµs", key, got.Mean, e.MeanUS)
+			}
+			if tb := p.StepTimeBatch(key.Res, key.Degree, key.Batch); tb != got.Mean {
+				t.Fatalf("StepTimeBatch%v = %v, want %v", key, tb, got.Mean)
+			}
+			if key.Batch == 1 {
+				if st := p.StepTime(key.Res, key.Degree); st != got.Mean {
+					t.Fatalf("StepTime%v = %v, want %v", key, st, got.Mean)
+				}
+				if g := p.GPUSeconds(key.Res, key.Degree); g != float64(key.Degree)*got.Mean.Seconds() {
+					t.Fatalf("GPUSeconds%v = %v", key, g)
+				}
+			}
+		}
+		unprofiled := model.Resolution{W: 640, H: 640}
+		for _, res := range append(p.Resolutions(), unprofiled) {
+			if p.Has(res) != (want[Key{res, 1, 1}] != profileEntryJSON{}) {
+				t.Fatalf("Has(%v) = %v disagrees with the entry list", res, p.Has(res))
+			}
+			for k := -1; k <= 2*p.MaxDegree()+1; k++ {
+				for bs := -1; bs <= 17; bs++ {
+					key := Key{res, k, bs}
+					_, listed := want[key]
+					if _, ok := p.Lookup(res, k, bs); ok != listed {
+						t.Fatalf("Lookup%v ok = %v, listed = %v", key, ok, listed)
+					}
+					if !listed && !panics(func() { p.StepTimeBatch(res, k, bs) }) {
+						t.Fatalf("StepTimeBatch%v did not panic on an unprofiled key", key)
+					}
+				}
+			}
+		}
+	}
+
+	for name, est := range map[string]*Estimator{"flux-h100": fluxEst(), "sd3-a40": sd3Est()} {
+		t.Run(name, func(t *testing.T) {
+			p := BuildProfile(est, ProfilerConfig{})
+			check(t, p, false)
+			p.Extend(est, model.Resolution{W: 768, H: 768})
+			p.Extend(est, model.Resolution{W: 1024, H: 512})
+			check(t, p, false)
+			data, err := json.Marshal(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var loaded Profile
+			if err := json.Unmarshal(data, &loaded); err != nil {
+				t.Fatal(err)
+			}
+			check(t, &loaded, true)
+		})
+	}
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+func BenchmarkStepTimeBatch(b *testing.B) {
+	p := BuildProfile(fluxEst(), ProfilerConfig{})
+	res := model.StandardResolutions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink time.Duration
+	for i := 0; i < b.N; i++ {
+		sink += p.StepTimeBatch(res[i%len(res)], 1<<(i%4), 1<<(i/4%4))
+	}
+	_ = sink
 }

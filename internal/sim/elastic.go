@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"tetriserve/internal/control"
+	"tetriserve/internal/costmodel"
 	"tetriserve/internal/model"
 	"tetriserve/internal/rebalance"
 	"tetriserve/internal/simgpu"
@@ -53,8 +54,6 @@ type RebalanceEvent struct {
 type rebalancer struct {
 	policy   *rebalance.Policy
 	interval time.Duration
-	probeRes []model.Resolution
-	slo      workload.SLOPolicy
 	next     time.Duration
 
 	loops []*control.Loop
@@ -66,12 +65,16 @@ type rebalancer struct {
 	caps []simgpu.Mask
 	// all is each shard's full topology mask, bounding growth.
 	all []simgpu.Mask
+	// classes are the probe classes per shard: the configured resolutions
+	// its profile covers, each at its scaled SLO budget.
+	classes [][]control.ProbeClass
 
 	events []RebalanceEvent
 	loads  []rebalance.ShardLoad // reused scratch
+	feas   []control.Feasibility // reused scratch
 }
 
-func newRebalancer(cfg *RebalanceConfig, loops []*control.Loop, names []string, alls []simgpu.Mask) *rebalancer {
+func newRebalancer(cfg *RebalanceConfig, loops []*control.Loop, profs []*costmodel.Profile, names []string, alls []simgpu.Mask) *rebalancer {
 	policy := cfg.Policy
 	if policy == nil {
 		policy = rebalance.New(rebalance.DefaultConfig())
@@ -88,20 +91,26 @@ func newRebalancer(cfg *RebalanceConfig, loops []*control.Loop, names []string, 
 	if scale <= 0 {
 		scale = 1.5
 	}
+	slo := workload.NewSLOPolicy(scale)
 	r := &rebalancer{
 		policy:   policy,
 		interval: interval,
-		probeRes: probeRes,
-		slo:      workload.NewSLOPolicy(scale),
 		next:     interval,
 		loops:    loops,
 		names:    names,
 		caps:     make([]simgpu.Mask, len(loops)),
 		all:      alls,
+		classes:  make([][]control.ProbeClass, len(loops)),
 		loads:    make([]rebalance.ShardLoad, len(loops)),
+		feas:     make([]control.Feasibility, len(probeRes)),
 	}
 	for i, l := range loops {
 		r.caps[i] = l.Engine().Capacity()
+		for _, res := range probeRes {
+			if profs[i].Has(res) { // the harness never extends a profile mid-run
+				r.classes[i] = append(r.classes[i], control.ProbeClass{Res: res, SLO: slo.Budget(res)})
+			}
+		}
 	}
 	return r
 }
@@ -112,11 +121,11 @@ func (r *rebalancer) decide(now time.Duration) {
 		healthy := r.caps[i].Without(l.Engine().FailedGPUs()).Count()
 		worst := time.Duration(math.MaxInt64)
 		var queue float64
-		for _, res := range r.probeRes {
-			f, err := l.ProbeFeasibility(res, 0, r.slo.Budget(res))
-			if err != nil {
-				continue // class not profiled on this shard
-			}
+		feas := r.feas[:len(r.classes[i])]
+		if err := l.ProbeClasses(r.classes[i], feas); err != nil {
+			panic(err) // classes were filtered to the shard's profile
+		}
+		for _, f := range feas {
 			queue = f.QueueGPUSeconds
 			if f.Slack < worst {
 				worst = f.Slack

@@ -162,6 +162,7 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 	oracles := make([]*invariant.Oracle, len(cfg.Shards))
 	shards := make([]router.Shard, len(cfg.Shards))
 	names := make([]string, len(cfg.Shards))
+	profs := make([]*costmodel.Profile, len(cfg.Shards))
 	alls := make([]simgpu.Mask, len(cfg.Shards))
 	recordLifecycle := cfg.Lifecycle || cfg.SpanSink != nil
 	var recs []*lifecycle.Recorder
@@ -200,11 +201,6 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 			// and never plan later arrivals. Termination is handled by the
 			// harness (all arrivals consumed, every shard drained).
 			Perpetual: true,
-			Preallocate: control.Prealloc{
-				Requests: len(cfg.Requests),
-				Runs:     8 * len(cfg.Requests),
-				Rounds:   8 * len(cfg.Requests),
-			},
 		}
 		if cfg.CheckInvariants {
 			oracles[i] = invariant.Attach(&ctlCfg)
@@ -224,6 +220,7 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 		l.Begin()
 		loops[i] = l
 		names[i] = name
+		profs[i] = prof
 		alls[i] = spec.Topo.AllMask()
 		shards[i] = loopShard{name: name, l: l}
 	}
@@ -235,7 +232,7 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 
 	var reb *rebalancer
 	if cfg.Rebalance != nil {
-		reb = newRebalancer(cfg.Rebalance, loops, names, alls)
+		reb = newRebalancer(cfg.Rebalance, loops, profs, names, alls)
 	}
 
 	out := &ShardedResult{Routed: map[workload.RequestID]int{}}

@@ -152,18 +152,6 @@ func newSimulator(cfg Config) (*simulator, error) {
 		// the run (panic), not leak into experiment tables.
 		Strict: true,
 		Hooks:  cfg.Hooks,
-		// The trace length bounds every accumulator: sizing them up front
-		// keeps the event loop free of growth reallocations. Round-based
-		// schedulers split a request across many short blocks (one per
-		// surviving round), so the run ledger needs a much larger factor
-		// than the request count suggests; 8× covers observed mixed-SLO
-		// traces (≈6 runs and ≈5 rounds per request) with headroom, and a
-		// miss only costs one growth step.
-		Preallocate: control.Prealloc{
-			Requests: len(cfg.Requests),
-			Runs:     8 * len(cfg.Requests),
-			Rounds:   8 * len(cfg.Requests),
-		},
 	}
 	var oracle *invariant.Oracle
 	if cfg.CheckInvariants {
