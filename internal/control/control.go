@@ -13,6 +13,12 @@
 //   - internal/server sleeps on a clock.Real between events and feeds
 //     arrivals and fault commands in from channels (live serving).
 //
+// Round-based loops tick on a τ grid anchored at the clock reading at New.
+// A tick that leaves nothing pending, nothing in flight and no staged resize
+// parks the loop: no next tick is queued until an arrival or a resize re-arms
+// the grid at its first boundary at or after that instant. Both adapters —
+// and every observer — therefore see the same event sequence.
+//
 // Adapters observe per-request lifecycle transitions through Hooks (the
 // driver mirrors them into its HTTP-visible job records); everything else —
 // outcomes, run records, plan latencies, health counters — accumulates in
@@ -97,7 +103,8 @@ type Hooks struct {
 	// callback. latency is the wall-clock solve time.
 	PlanComputed func(now, latency time.Duration, ctx *sched.PlanContext)
 	// RoundTick fires at every effective τ boundary (after overrun
-	// deferral), with the grid-anchored tick time and the clock reading.
+	// deferral), with the grid-anchored tick time and the clock reading. A
+	// parked loop fires none, so consecutive ticks may be many τ apart.
 	RoundTick func(at, now time.Duration)
 
 	// Planned fires after a plan passes validation and before dispatch.
@@ -196,10 +203,6 @@ type Config struct {
 	// requeueing them — the recovery ablation the failure sweep compares
 	// against.
 	NoRequeueOnFault bool
-	// Perpetual keeps round ticks firing when no requests are outstanding
-	// (the live driver); off, the grid stops once every scheduled request
-	// is finalized (the simulator's termination condition).
-	Perpetual bool
 	// Strict panics on invalid plans and engine start rejections instead of
 	// only counting them — the simulator's oracle behavior for experiments,
 	// where a scheduler bug must abort the run, not skew the numbers. The
@@ -249,6 +252,12 @@ type Loop struct {
 	eager     bool
 	tau       time.Duration
 	schedOver time.Duration
+	// grid is the earliest instant the next round tick may fire: the clock
+	// reading at New until the first tick, then the last fired tick + τ (so
+	// an overrun deferral's phase carries over). armed reports a tick on the
+	// queue; a parked loop has none.
+	grid  time.Duration
+	armed bool
 	// resizeStaged/resizeMask hold a pending capacity change for round-based
 	// schedulers: ApplyResize stages it (last writer wins) and the next
 	// effective round tick applies it before planning, so every plan within
@@ -298,6 +307,7 @@ func New(cfg Config, clk clock.Clock) (*Loop, error) {
 		},
 		roundBased: cfg.Scheduler.RoundDuration() > 0,
 		tau:        cfg.Scheduler.RoundDuration(),
+		grid:       clk.Now(),
 	}
 	if o, ok := cfg.Scheduler.(interface{ Overhead() time.Duration }); ok {
 		l.schedOver = o.Overhead()
@@ -345,15 +355,6 @@ func (l *Loop) ScheduleFault(f simgpu.Fault) {
 // round-based schedulers apply it at the next effective round tick.
 func (l *Loop) ScheduleResize(r simgpu.Resize) {
 	l.q.Push(r.At, evResize, r.NewMask)
-}
-
-// Begin anchors the τ grid: round-based schedulers get their first tick at
-// the current clock reading. Call it after pre-scheduling arrivals/faults so
-// same-instant arrivals are admitted before the tick plans them.
-func (l *Loop) Begin() {
-	if l.roundBased {
-		l.q.Push(l.clk.Now(), evRoundTick, nil)
-	}
 }
 
 // NextEvent peeks the earliest pending event without removing it, or nil.
@@ -424,6 +425,21 @@ func (l *Loop) stageResize(now time.Duration, newMask simgpu.Mask) {
 	}
 	l.resizeStaged = true
 	l.resizeMask = newMask
+	l.arm(now)
+}
+
+// arm re-arms a parked round grid: it queues one tick at the first grid
+// point at or after now. A loop with a tick already queued is left alone.
+func (l *Loop) arm(now time.Duration) {
+	if !l.roundBased || l.armed {
+		return
+	}
+	at := l.grid
+	if at < now {
+		at += (now - at + l.tau - 1) / l.tau * l.tau
+	}
+	l.armed = true
+	l.q.Push(at, evRoundTick, nil)
 }
 
 // Finalize fills engine telemetry and the makespan into the result and
@@ -478,6 +494,7 @@ func (l *Loop) admit(now time.Duration, r *workload.Request) {
 	if l.cfg.Hooks.Admitted != nil {
 		l.cfg.Hooks.Admitted(now, r)
 	}
+	l.arm(now)
 	if !l.roundBased || (l.eager && l.eng.Free() != 0) {
 		l.plan(now)
 	}
@@ -578,36 +595,13 @@ func (l *Loop) onRoundTick(at, now time.Duration) {
 		l.cfg.Hooks.RoundTick(at, now)
 	}
 	l.plan(now)
-	if l.cfg.Perpetual || l.left > 0 {
-		l.q.Push(l.nextTick(at), evRoundTick, nil)
+	// With nothing pending, in flight or staged the loop parks: no next tick
+	// until admit or stageResize re-arms the grid.
+	l.grid = at + l.tau
+	l.armed = len(l.pending) != 0 || len(l.inflight) != 0 || l.resizeStaged
+	if l.armed {
+		l.q.Push(l.grid, evRoundTick, nil)
 	}
-}
-
-// nextTick returns the grid point the next round tick should fire at —
-// normally at+τ. When the loop is completely idle (nothing pending, nothing
-// in flight) every tick before the next queued event is a no-op, so the
-// pre-scheduled-event world (the simulator) can fast-forward along the grid
-// to the first boundary that will observe the event. Skipped boundaries are
-// still counted in RoundTicks, keeping Result bookkeeping identical to
-// dispatching them one by one. The fast-forward is disabled when a RoundTick
-// hook is attached (observers see every boundary at its own dispatch) and in
-// Perpetual mode (the driver's arrivals are not pre-scheduled, so the queue
-// cannot bound the idle gap).
-func (l *Loop) nextTick(at time.Duration) time.Duration {
-	next := at + l.tau
-	if l.cfg.Perpetual || l.cfg.Hooks.RoundTick != nil ||
-		len(l.pending) != 0 || len(l.inflight) != 0 || l.tau <= 0 {
-		return next
-	}
-	nev := l.q.Peek()
-	if nev == nil || nev.At <= next {
-		return next
-	}
-	// First grid point at or past the next event; the k-1 boundaries before
-	// it would each have ticked, planned nothing, and rescheduled.
-	k := (nev.At - at + l.tau - 1) / l.tau
-	l.res.RoundTicks += int(k - 1)
-	return at + time.Duration(k)*l.tau
 }
 
 // plan applies the drop policy, then invokes the scheduler and starts the

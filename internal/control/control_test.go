@@ -74,11 +74,10 @@ func TestDriveStylesAgreeOnDropBoundary(t *testing.T) {
 	// it is the tick at exactly 1s.
 	want := time.Second
 
-	run := func(perpetual bool, drive func(l *Loop, clk *clock.Virtual)) time.Duration {
+	run := func(drive func(l *Loop, clk *clock.Virtual)) time.Duration {
 		clk := clock.NewVirtual()
 		cfg := testConfig(idleSched{tau: time.Second})
 		cfg.DropLateFactor = factor
-		cfg.Perpetual = perpetual
 		var droppedAt time.Duration = -1
 		cfg.Hooks.Dropped = func(now time.Duration, o Outcome) { droppedAt = now }
 		l, err := New(cfg, clk)
@@ -93,9 +92,8 @@ func TestDriveStylesAgreeOnDropBoundary(t *testing.T) {
 	}
 
 	// Simulator style: pre-schedule the arrival, drain the queue.
-	simAt := run(false, func(l *Loop, clk *clock.Virtual) {
+	simAt := run(func(l *Loop, clk *clock.Virtual) {
 		l.ScheduleArrival(req(0, arrival, slo))
-		l.Begin()
 		for l.Unfinished() > 0 {
 			ev := l.PopEvent()
 			if ev == nil {
@@ -108,21 +106,21 @@ func TestDriveStylesAgreeOnDropBoundary(t *testing.T) {
 		}
 	})
 
-	// Driver style: only ticks live on the queue; the arrival is injected
-	// by the adapter when the clock passes its submission instant.
-	drvAt := run(true, func(l *Loop, clk *clock.Virtual) {
-		l.Begin()
+	// Driver style: only ticks live on the queue, and none until the
+	// adapter injects the arrival when the clock passes its submission
+	// instant (a parked loop's queue is empty).
+	drvAt := run(func(l *Loop, clk *clock.Virtual) {
 		arrived := false
 		for l.Unfinished() > 0 || !arrived {
 			next := l.NextEvent()
-			if next == nil {
-				t.Fatal("tick queue drained unexpectedly")
-			}
-			if !arrived && arrival <= next.At {
+			if !arrived && (next == nil || arrival <= next.At) {
 				clk.Advance(arrival)
 				l.Arrive(req(0, 0, slo))
 				arrived = true
 				continue
+			}
+			if next == nil {
+				t.Fatal("tick queue drained with the request unfinished")
 			}
 			ev := l.PopEvent()
 			clk.Advance(ev.At)
@@ -151,7 +149,6 @@ func TestLenientModeCountsPlanRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.ScheduleArrival(req(0, 0, 500*time.Millisecond))
-	l.Begin()
 	for l.Unfinished() > 0 {
 		ev := l.PopEvent()
 		if ev == nil {
@@ -182,7 +179,6 @@ func TestStrictModeAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.ScheduleArrival(req(0, 0, time.Second))
-	l.Begin()
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -199,35 +195,135 @@ func TestStrictModeAborts(t *testing.T) {
 	}
 }
 
-// TestPerpetualTicks: a live serving loop keeps its τ grid alive with no
-// requests outstanding; the simulator's grid stops once the trace drains.
-func TestPerpetualTicks(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		perpetual bool
-		wantNext  bool
-	}{
-		{"perpetual", true, true},
-		{"draining", false, false},
-	} {
-		clk := clock.NewVirtual()
-		cfg := testConfig(idleSched{tau: time.Second})
-		cfg.Perpetual = tc.perpetual
-		l, err := New(cfg, clk)
-		if err != nil {
-			t.Fatal(err)
+// soloSched is a round-based policy that starts the oldest pending request
+// on GPU 0 for all of its remaining steps, flagged round-aligned — a block
+// long enough to overrun τ and defer the next tick.
+type soloSched struct{ tau time.Duration }
+
+func (s soloSched) Name() string                 { return "solo" }
+func (s soloSched) RoundDuration() time.Duration { return s.tau }
+func (s soloSched) Plan(ctx *sched.PlanContext) []sched.Assignment {
+	if len(ctx.Pending) == 0 || !ctx.Free.Has(0) {
+		return nil
+	}
+	st := ctx.Pending[0]
+	return []sched.Assignment{{
+		Requests:     []workload.RequestID{st.Req.ID},
+		Group:        simgpu.MaskOf(0),
+		Steps:        st.Remaining,
+		RoundAligned: true,
+	}}
+}
+
+// TestIdleLoopParks pins the one idle rule: a tick that leaves nothing
+// pending, nothing in flight and no staged resize queues no next tick, and
+// an arrival or a resize re-arms the grid at its first point at or after the
+// clock, strictly after the last fired tick, keeping any deferred phase.
+func TestIdleLoopParks(t *testing.T) {
+	const tau = 100 * time.Millisecond
+	clk := clock.NewVirtual()
+	cfg := testConfig(soloSched{tau: tau})
+	var ticks []time.Duration
+	cfg.Hooks.RoundTick = func(at, now time.Duration) { ticks = append(ticks, at) }
+	var runEnd time.Duration
+	cfg.Hooks.RunStarted = func(now time.Duration, run *engine.Run) { runEnd = run.End }
+	l, err := New(cfg, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := l.NextEvent(); ev != nil {
+		t.Fatalf("a fresh loop queued %+v; want it parked", ev)
+	}
+	nextAt := func(want time.Duration) {
+		t.Helper()
+		if ev := l.NextEvent(); ev == nil || ev.At != want {
+			t.Fatalf("at %v: next event %+v, want a tick at %v", clk.Now(), ev, want)
 		}
-		l.Begin()
+	}
+	// drainToPark dispatches events until the queue is empty.
+	drainToPark := func() {
+		t.Helper()
+		for guard := 0; l.NextEvent() != nil; guard++ {
+			if guard > 1000 {
+				t.Fatal("loop never parked")
+			}
+			ev := l.PopEvent()
+			clk.Advance(ev.At)
+			if err := l.Dispatch(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// A resize staged while parked arms the next boundary and lands there;
+	// the tick then finds nothing to do and parks.
+	clk.Advance(40 * time.Millisecond)
+	l.ApplyResize(simgpu.MaskRange(0, 4))
+	nextAt(tau)
+	drainToPark()
+	if got := l.Engine().Capacity(); got != simgpu.MaskRange(0, 4) {
+		t.Fatalf("capacity = %v, want the resize staged while parked", got)
+	}
+	if l.Result().RoundTicks != 1 || ticks[0] != tau {
+		t.Fatalf("ticks = %v (RoundTicks %d), want one at %v", ticks, l.Result().RoundTicks, tau)
+	}
+
+	// An arrival off the grid arms the first grid point at or after it.
+	clk.Advance(250 * time.Millisecond)
+	l.Arrive(req(1, 0, time.Hour))
+	nextAt(3 * tau)
+	drainToPark()
+	deferred := ticks[len(ticks)-1]
+	if deferred != runEnd+time.Microsecond || deferred <= 4*tau {
+		t.Fatalf("ticks = %v, block ended %v: want the 4τ tick deferred past the overrun", ticks, runEnd)
+	}
+
+	// An arrival exactly on the just-fired (deferred) boundary arms the next
+	// one, on the deferred phase.
+	if clk.Now() != deferred {
+		t.Fatalf("clock %v, want parked at the deferred tick %v", clk.Now(), deferred)
+	}
+	l.Arrive(req(2, 0, time.Hour))
+	nextAt(deferred + tau)
+	drainToPark()
+
+	// Later re-arms keep whatever phase the last fired tick set.
+	last := ticks[len(ticks)-1]
+	clk.Advance(last + 5*tau/2)
+	l.Arrive(req(3, 0, time.Hour))
+	nextAt(last + 3*tau)
+	drainToPark()
+	if l.Unfinished() != 0 || len(l.Result().Outcomes) != 3 {
+		t.Fatalf("unfinished %d, outcomes %d: want all three served", l.Unfinished(), len(l.Result().Outcomes))
+	}
+}
+
+// TestLateDispatchStaysOnGrid: a busy loop reschedules each tick from the
+// fired tick's own time, so dispatching late on the clock never drifts the
+// grid — every fired boundary is origin + kτ.
+func TestLateDispatchStaysOnGrid(t *testing.T) {
+	const tau = time.Second
+	clk := clock.NewVirtual()
+	clk.Advance(300 * time.Millisecond) // the grid origin is the clock at New
+	cfg := testConfig(idleSched{tau: tau})
+	var ticks []time.Duration
+	cfg.Hooks.RoundTick = func(at, now time.Duration) { ticks = append(ticks, at) }
+	l, err := New(cfg, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Second)
+	l.Arrive(req(0, 0, time.Hour)) // never planned: the loop stays busy
+	for i := 0; i < 20; i++ {
 		ev := l.PopEvent()
-		clk.Advance(ev.At)
+		clk.Advance(ev.At + time.Duration(i%7)*97*time.Millisecond)
 		if err := l.Dispatch(ev); err != nil {
 			t.Fatal(err)
 		}
-		if got := l.NextEvent() != nil; got != tc.wantNext {
-			t.Fatalf("%s: next tick scheduled = %v, want %v", tc.name, got, tc.wantNext)
-		}
-		if l.Result().RoundTicks != 1 {
-			t.Fatalf("%s: RoundTicks = %d, want 1", tc.name, l.Result().RoundTicks)
+	}
+	for k, at := range ticks {
+		if want := 300*time.Millisecond + time.Duration(k+1)*tau; at != want {
+			t.Fatalf("tick %d fired at %v, want %v: the grid drifted (%v)", k, at, want, ticks)
 		}
 	}
 }
@@ -252,7 +348,6 @@ func TestControlRoundTickZeroAlloc(t *testing.T) {
 		Scheduler: core.NewScheduler(prof, topo, core.DefaultConfig()),
 		Profile:   prof,
 		Engine:    engine.DefaultConfig(),
-		Perpetual: true,
 	}, clk)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +361,6 @@ func TestControlRoundTickZeroAlloc(t *testing.T) {
 			SLO:   1000 * time.Hour,
 		})
 	}
-	l.Begin()
 	step := func() {
 		ev := l.PopEvent()
 		clk.Advance(ev.At)

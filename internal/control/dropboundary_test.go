@@ -47,7 +47,6 @@ func TestDropBoundaryExactTick(t *testing.T) {
 		}
 		r := req(1, 0, slo)
 		l.ScheduleArrival(r)
-		l.Begin()
 		driveToEmpty(t, l, clk)
 		return droppedAt, cause
 	}

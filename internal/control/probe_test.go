@@ -113,7 +113,6 @@ func TestProbeBacklogDelaysProjection(t *testing.T) {
 
 func TestProbeFullyFailedPoolNeverWins(t *testing.T) {
 	l, _, _ := newProbeLoop(t)
-	l.Begin()
 	l.Fail(simgpu.Mask(1<<8 - 1))
 	f, err := l.ProbeFeasibility(model.Res512, 0, time.Hour)
 	if err != nil {
@@ -171,7 +170,6 @@ func TestProbeNeverMutatesLoopState(t *testing.T) {
 			cp := *r
 			l.ScheduleArrival(&cp)
 		}
-		l.Begin()
 		return l, clk, sc
 	}
 
@@ -233,7 +231,6 @@ func TestProbeAgreesWithSingleShotOutcome(t *testing.T) {
 			ID: 1, Res: res, Steps: model.FLUX().DefaultSteps, Arrival: 0, SLO: slo,
 		}
 		l.ScheduleArrival(r)
-		l.Begin()
 		out := drain(t, l, clk, nil)
 		if len(out.Outcomes) != 1 {
 			t.Fatalf("trial %d: %d outcomes", i, len(out.Outcomes))
@@ -290,7 +287,6 @@ func TestProbeClassesMatchesProbeFeasibility(t *testing.T) {
 		for _, r := range trace {
 			l.ScheduleArrival(r)
 		}
-		l.Begin()
 		for n := rng.Intn(400); n > 0 && l.Unfinished() > 0; n-- {
 			ev := l.PopEvent()
 			if ev == nil {
@@ -377,7 +373,6 @@ func BenchmarkProbeClasses(b *testing.B) {
 	}) {
 		l.ScheduleArrival(r)
 	}
-	l.Begin()
 	for n := 0; n < 300; n++ {
 		ev := l.PopEvent()
 		clk.Advance(ev.At)

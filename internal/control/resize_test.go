@@ -33,15 +33,8 @@ func drainQueue(t *testing.T, l *Loop, clk *clock.Virtual) {
 func TestStagedResizeAppliesAtRoundTick(t *testing.T) {
 	clk := clock.NewVirtual()
 	cfg := testConfig(idleSched{tau: time.Second})
-	cfg.Perpetual = true
 	l, err := New(cfg, clk)
 	if err != nil {
-		t.Fatal(err)
-	}
-	l.Begin()
-
-	// Consume the t=0 tick so the next boundary is at 1s.
-	if err := l.Dispatch(l.PopEvent()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,7 +86,6 @@ func TestApplyResizeEventDrivenPreemptsAndRequeues(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.ScheduleArrival(req(0, 0, time.Minute))
-	l.Begin()
 
 	// Dispatch the arrival: the event-driven policy plans and starts a block.
 	ev := l.PopEvent()
@@ -158,7 +150,6 @@ func TestScheduleResizeDispatchesLikeAnyEvent(t *testing.T) {
 	}
 	l.ScheduleArrival(req(0, 0, time.Minute))
 	l.ScheduleResize(simgpu.Resize{At: 5 * time.Millisecond, NewMask: simgpu.MaskRange(0, 4)})
-	l.Begin()
 	drainQueue(t, l, clk)
 	res := l.Finalize()
 	if res.Resizes != 1 {

@@ -93,7 +93,7 @@ type Result struct {
 	// Health counters: a serving loop must degrade loudly, not silently.
 	// PlanRejected counts plans the validator refused; StartFailed counts
 	// assignments the engine would not start; RoundTicks counts fired round
-	// boundaries (0 for event-driven schedulers).
+	// boundaries (0 for event-driven schedulers; a parked loop fires none).
 	PlanRejected int
 	StartFailed  int
 	RoundTicks   int

@@ -483,7 +483,8 @@ type Stats struct {
 	StartFailed  int `json:"start_failed"`
 	RunsAborted  int `json:"runs_aborted"`
 	// RoundTicks counts fired round boundaries (0 for event-driven
-	// schedulers); the τ grid stays anchored even under late wake-ups.
+	// schedulers). An idle loop parks and fires none; the τ grid stays
+	// anchored even under late wake-ups.
 	RoundTicks int `json:"round_ticks"`
 	// RunsPreempted counts blocks preempted (with full credit) by elastic
 	// capacity changes; Resizes counts applied capacity changes.
@@ -624,11 +625,9 @@ func (d *Driver) loop() {
 		Profile:        d.prof,
 		Engine:         engine.DefaultConfig(),
 		DropLateFactor: d.cfg.DropLateFactor,
-		// A live serving loop never stops ticking (capacity may free up or
-		// arrive at any moment) and never panics on scheduler bugs — it
-		// counts them and retries at the next event.
-		Perpetual: true,
-		Hooks:     d.hooks().Then(d.plane.Hooks()).Then(d.rec.Hooks()),
+		// A live serving loop never panics on scheduler bugs (Strict off):
+		// it counts them and retries at the next event.
+		Hooks: d.hooks().Then(d.plane.Hooks()).Then(d.rec.Hooks()),
 	}
 	if d.cfg.Cache != nil {
 		ctlCfg.Trimmer = cacheTrimmer{c: d.cfg.Cache}
@@ -676,8 +675,6 @@ func (d *Driver) loop() {
 		d.capacity = capacity
 		d.mu.Unlock()
 	}
-
-	ctl.Begin()
 
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()

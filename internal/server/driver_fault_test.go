@@ -9,6 +9,7 @@ import (
 	"tetriserve/internal/core"
 	"tetriserve/internal/costmodel"
 	"tetriserve/internal/model"
+	"tetriserve/internal/sched"
 	"tetriserve/internal/simgpu"
 	"tetriserve/internal/workload"
 )
@@ -170,22 +171,57 @@ func TestDriverExpiresQueuedJobs(t *testing.T) {
 	t.Fatalf("job never expired (state %s)", j.State)
 }
 
-// TestDriverRoundTicksStayOnGrid: round boundaries are rescheduled from the
-// event's own timestamp, so late wake-ups must not shrink the tick count far
-// below elapsed/τ.
-func TestDriverRoundTicksStayOnGrid(t *testing.T) {
+// TestDriverParksWhenIdle: a started driver with no work fires no round
+// ticks, and once its only job completes the tick count stops growing.
+func TestDriverParksWhenIdle(t *testing.T) {
 	d := newTestDriver(t)
-	tau := d.cfg.Scheduler.RoundDuration()
-	if tau <= 0 {
+	if d.cfg.Scheduler.RoundDuration() <= 0 {
 		t.Fatal("test needs a round-based scheduler")
 	}
-	time.Sleep(300 * time.Millisecond)
-	elapsed := d.clk.Now()
-	ticks := d.Snapshot().RoundTicks
-	want := int(float64(elapsed) / float64(tau) * 0.8)
-	if ticks < want {
-		t.Fatalf("%d round ticks over %v of virtual time (τ=%v), want ≥ %d: the grid drifted",
-			ticks, elapsed, tau, want)
+	time.Sleep(200 * time.Millisecond)
+	if n := d.Snapshot().RoundTicks; n != 0 {
+		t.Fatalf("idle driver fired %d round ticks, want 0", n)
+	}
+	job, err := d.Submit(workload.Prompt{Text: "one"}, model.Res256, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForJob(t, d, job.ID, 10*time.Second)
+	time.Sleep(50 * time.Millisecond) // the tick queued behind the block fires and parks
+	before := d.Snapshot().RoundTicks
+	time.Sleep(100 * time.Millisecond)
+	if after := d.Snapshot().RoundTicks; before == 0 || after != before {
+		t.Fatalf("round ticks %d, then %d 100ms later: want > 0 and parked", before, after)
+	}
+}
+
+// stallSched is a round-based policy that never plans, so one submitted
+// job keeps the loop busy (ticking every τ) indefinitely.
+type stallSched struct{}
+
+const stallTau = time.Second
+
+func (stallSched) Name() string                               { return "stall" }
+func (stallSched) RoundDuration() time.Duration               { return stallTau }
+func (stallSched) Plan(*sched.PlanContext) []sched.Assignment { return nil }
+
+// TestDriverRoundTicksStayOnGrid: on a busy loop each boundary is
+// rescheduled from the fired tick's own time, not from the late wall-clock
+// wake-up that dispatched it, so every gap between fired ticks is exactly τ.
+func TestDriverRoundTicksStayOnGrid(t *testing.T) {
+	d := newTestDriver(t, func(cfg *DriverConfig) { cfg.Scheduler = stallSched{} })
+	if _, err := d.Submit(workload.Prompt{Text: "waits"}, model.Res256, 0); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond)
+	d.Stop()
+	snap := d.Telemetry().Registry.Snapshot()
+	gaps, sum := snap["tetriserve_round_duration_seconds_count"], snap["tetriserve_round_duration_seconds_sum"]
+	if gaps < 5 || sum != gaps*stallTau.Seconds() {
+		t.Fatalf("%v round gaps summing to %vs, want ≥ 5 of exactly τ each: the grid drifted", gaps, sum)
+	}
+	if ticks := d.Result().RoundTicks; float64(ticks) != gaps+1 {
+		t.Fatalf("RoundTicks = %d, want one more than the %v observed gaps", ticks, gaps)
 	}
 }
 

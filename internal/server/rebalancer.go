@@ -38,12 +38,6 @@ type LiveRebalancerConfig struct {
 	Policy *rebalance.Policy
 	// Interval is the wall-clock decision cadence (default 10 s).
 	Interval time.Duration
-	// ProbeResolutions are the classes probed for the lateness-slack signal
-	// (default the standard resolutions).
-	ProbeResolutions []model.Resolution
-	// ProbeSLOScale scales the per-class SLO budgets used by the probes
-	// (default 1.5).
-	ProbeSLOScale float64
 	// Logf receives move and error diagnostics (default: discarded).
 	Logf func(format string, args ...any)
 }
@@ -81,6 +75,10 @@ type MoveRecord struct {
 // moveHistoryCap bounds the rebalance history retained for GET /v1/fleet.
 const moveHistoryCap = 64
 
+// probeSLOScale scales the per-class SLO budgets of the lateness-slack
+// probes, one per standard resolution.
+const probeSLOScale = 1.5
+
 // NewLiveRebalancer validates the configuration and builds a rebalancer (not
 // yet running).
 func NewLiveRebalancer(cfg LiveRebalancerConfig) (*LiveRebalancer, error) {
@@ -103,17 +101,10 @@ func NewLiveRebalancer(cfg LiveRebalancerConfig) (*LiveRebalancer, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * time.Second
 	}
-	if len(cfg.ProbeResolutions) == 0 {
-		cfg.ProbeResolutions = model.StandardResolutions()
-	}
-	scale := cfg.ProbeSLOScale
-	if scale <= 0 {
-		scale = 1.5
-	}
 	return &LiveRebalancer{
 		cfg:     cfg,
 		policy:  policy,
-		slo:     workload.NewSLOPolicy(scale),
+		slo:     workload.NewSLOPolicy(probeSLOScale),
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
 		counts:  append([]int(nil), cfg.InitialGPUs...),
@@ -176,19 +167,28 @@ func (r *LiveRebalancer) decide() {
 	for i, s := range r.cfg.Shards {
 		worst := time.Duration(1<<63 - 1)
 		var queue float64
-		for _, res := range r.cfg.ProbeResolutions {
+		answered := false
+		for _, res := range model.StandardResolutions() {
 			f, err := s.ProbeFeasibility(res, 0, r.slo.Budget(res))
 			if err != nil {
 				continue // class not profiled on this shard, or shard unreachable
 			}
+			answered = true
 			queue = f.QueueGPUSeconds
 			if f.Slack < worst {
 				worst = f.Slack
 			}
 		}
+		// A shard that answered no probe would look idle — the ideal donor —
+		// and its failing shrink would end every round. Zero healthy GPUs
+		// makes it neither donor nor receiver while keeping indices stable.
+		healthy := counts[i]
+		if !answered {
+			healthy = 0
+		}
 		loads[i] = rebalance.ShardLoad{
 			Name:            s.Name(),
-			HealthyGPUs:     counts[i],
+			HealthyGPUs:     healthy,
 			QueueGPUSeconds: queue,
 			WorstSlack:      worst,
 		}

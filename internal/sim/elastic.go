@@ -30,16 +30,13 @@ import (
 type RebalanceConfig struct {
 	// Policy defaults to rebalance.New(rebalance.DefaultConfig()).
 	Policy *rebalance.Policy
-	// Interval is the virtual-time cadence of decision rounds (default 2s).
-	Interval time.Duration
-	// ProbeResolutions are the resolution classes probed per shard for the
-	// lateness-slack signal; defaults to the standard resolutions present in
-	// the shard's profile.
-	ProbeResolutions []model.Resolution
 	// ProbeSLOScale scales the per-class SLO budgets the slack probes use
 	// (default 1.5, matching the routed experiments' SLO policy).
 	ProbeSLOScale float64
 }
+
+// rebalanceInterval is the virtual-time cadence of decision rounds.
+const rebalanceInterval = 2 * time.Second
 
 // RebalanceEvent records one applied GPU move for the result ledger.
 type RebalanceEvent struct {
@@ -52,9 +49,8 @@ type RebalanceEvent struct {
 
 // rebalancer holds the harness-side elastic state.
 type rebalancer struct {
-	policy   *rebalance.Policy
-	interval time.Duration
-	next     time.Duration
+	policy *rebalance.Policy
+	next   time.Duration
 
 	loops []*control.Loop
 	names []string
@@ -65,7 +61,7 @@ type rebalancer struct {
 	caps []simgpu.Mask
 	// all is each shard's full topology mask, bounding growth.
 	all []simgpu.Mask
-	// classes are the probe classes per shard: the configured resolutions
+	// classes are the probe classes per shard: the standard resolutions
 	// its profile covers, each at its scaled SLO budget.
 	classes [][]control.ProbeClass
 
@@ -79,30 +75,22 @@ func newRebalancer(cfg *RebalanceConfig, loops []*control.Loop, profs []*costmod
 	if policy == nil {
 		policy = rebalance.New(rebalance.DefaultConfig())
 	}
-	interval := cfg.Interval
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	probeRes := cfg.ProbeResolutions
-	if len(probeRes) == 0 {
-		probeRes = model.StandardResolutions()
-	}
+	probeRes := model.StandardResolutions()
 	scale := cfg.ProbeSLOScale
 	if scale <= 0 {
 		scale = 1.5
 	}
 	slo := workload.NewSLOPolicy(scale)
 	r := &rebalancer{
-		policy:   policy,
-		interval: interval,
-		next:     interval,
-		loops:    loops,
-		names:    names,
-		caps:     make([]simgpu.Mask, len(loops)),
-		all:      alls,
-		classes:  make([][]control.ProbeClass, len(loops)),
-		loads:    make([]rebalance.ShardLoad, len(loops)),
-		feas:     make([]control.Feasibility, len(probeRes)),
+		policy:  policy,
+		next:    rebalanceInterval,
+		loops:   loops,
+		names:   names,
+		caps:    make([]simgpu.Mask, len(loops)),
+		all:     alls,
+		classes: make([][]control.ProbeClass, len(loops)),
+		loads:   make([]rebalance.ShardLoad, len(loops)),
+		feas:    make([]control.Feasibility, len(probeRes)),
 	}
 	for i, l := range loops {
 		r.caps[i] = l.Engine().Capacity()
@@ -154,5 +142,5 @@ func (r *rebalancer) decide(now time.Duration) {
 			})
 		}
 	}
-	r.next += r.interval
+	r.next += rebalanceInterval
 }

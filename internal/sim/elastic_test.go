@@ -167,7 +167,6 @@ func TestRunShardedRebalanceMovesGPUsDeterministically(t *testing.T) {
 					DrainGapSeconds: 1,
 					MaxMoves:        1,
 				}),
-				Interval: 2 * time.Second,
 			},
 			DropLateFactor:  4.0,
 			CheckInvariants: true,

@@ -140,8 +140,8 @@ func (s loopShard) ProbeFeasibility(res model.Resolution, steps int, slo time.Du
 // arrival instant, and each shard's event queue drains exactly as in the
 // single-loop simulator. Event interleaving is deterministic: the earliest
 // event across shards runs first, arrivals run before same-instant shard
-// events (matching the single-loop convention where Begin follows
-// pre-scheduled arrivals), and shard index breaks remaining ties.
+// events (matching the single-loop convention where an arrival is admitted
+// before the tick it arms plans it), and shard index breaks remaining ties.
 func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 	if cfg.Model == nil || len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("sim: Model and at least one shard are required")
@@ -194,13 +194,6 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 			Engine:         engCfg,
 			DropLateFactor: cfg.DropLateFactor,
 			Strict:         true,
-			// Arrivals come from the router at their arrival instant, not
-			// from a pre-scheduled queue, so the round grid must keep
-			// ticking through idle gaps exactly like the live driver's —
-			// a non-perpetual grid would stop after the first idle round
-			// and never plan later arrivals. Termination is handled by the
-			// harness (all arrivals consumed, every shard drained).
-			Perpetual: true,
 		}
 		if cfg.CheckInvariants {
 			oracles[i] = invariant.Attach(&ctlCfg)
@@ -217,7 +210,6 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: shard %d: %w", i, err)
 		}
-		l.Begin()
 		loops[i] = l
 		names[i] = name
 		profs[i] = prof

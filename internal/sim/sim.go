@@ -170,7 +170,6 @@ func newSimulator(cfg Config) (*simulator, error) {
 	for _, r := range cfg.Resizes {
 		ctl.ScheduleResize(r)
 	}
-	ctl.Begin()
 	return &simulator{cfg: cfg, clk: clk, ctl: ctl, oracle: oracle}, nil
 }
 

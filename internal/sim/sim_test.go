@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"time"
 
+	"tetriserve/internal/control"
 	"tetriserve/internal/core"
 	"tetriserve/internal/costmodel"
 	"tetriserve/internal/model"
@@ -153,6 +155,23 @@ func TestDeterministicReplay(t *testing.T) {
 			t.Fatalf("request %d completed at %v vs %v across identical runs",
 				o.ID, byID[o.ID].Completion, o.Completion)
 		}
+	}
+}
+
+// TestRoundTickHookLeavesRunUnchanged: an idle loop parks whether or not a
+// RoundTick observer is attached, so the hook cannot change the event
+// sequence — the results match field for field, RoundTicks included.
+func TestRoundTickHookLeavesRunUnchanged(t *testing.T) {
+	run := func(hooks control.Hooks) *Result {
+		res := runSim(t, tetri(), genTrace(40, 5, 1.0), func(c *Config) { c.Hooks = hooks })
+		res.PlanLatencies = nil // wall-clock solve times differ run to run
+		return res
+	}
+	bare := run(control.Hooks{})
+	observed := run(control.Hooks{RoundTick: func(at, now time.Duration) {}})
+	if !reflect.DeepEqual(bare, observed) {
+		t.Fatalf("a RoundTick hook changed the run: RoundTicks %d vs %d, plans %d vs %d",
+			bare.RoundTicks, observed.RoundTicks, bare.PlanCalls, observed.PlanCalls)
 	}
 }
 

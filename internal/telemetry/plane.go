@@ -110,7 +110,7 @@ func NewPlane() *Plane {
 		planLatency: reg.Histogram("tetriserve_plan_latency_seconds",
 			"Scheduler solve latency per plan call.", PlanLatencyBuckets),
 		roundDuration: reg.Histogram("tetriserve_round_duration_seconds",
-			"Effective τ round length (grid gap between consecutive fired boundaries, overrun deferral included).", RoundDurationBuckets),
+			"Effective τ round length of a loop with work outstanding (grid gap between consecutive fired boundaries, overrun deferral included).", RoundDurationBuckets),
 		e2e: reg.HistogramVec("tetriserve_e2e_latency_seconds",
 			"End-to-end latency of completed requests, by resolution.", LatencyBuckets, "resolution"),
 		e2eByRes: map[model.Resolution]*Histogram{},
@@ -215,17 +215,20 @@ func (p *Plane) onRequeued(now time.Duration, id workload.RequestID, cause contr
 
 // onRoundTick counts the boundary and observes the effective round length —
 // the gap between consecutive fired grid points, which exceeds τ exactly
-// when overrun deferral pushed the boundary out.
+// when overrun deferral pushed the boundary out. A series spans one stretch
+// with work outstanding: a tick that finds nothing tracked is the last
+// before the loop parks, so the gap to the next one is idle time, not a round.
 func (p *Plane) onRoundTick(at, now time.Duration) {
 	p.roundTicks.Inc()
 	if p.tickSeen {
 		p.roundDuration.Observe((at - p.lastTick).Seconds())
 	}
 	p.lastTick = at
-	p.tickSeen = true
+	p.tickSeen = len(p.phase) != 0
 }
 
-// retire clears a request's queue-position gauge at finalization.
+// retire clears a request's queue-position gauge at finalization. The last
+// tracked request's retirement ends the round-duration series.
 func (p *Plane) retire(id workload.RequestID) {
 	switch p.phase[id] {
 	case phaseQueued:
@@ -234,6 +237,9 @@ func (p *Plane) retire(id workload.RequestID) {
 		p.runningReqs.Dec()
 	}
 	delete(p.phase, id)
+	if len(p.phase) == 0 {
+		p.tickSeen = false
+	}
 }
 
 func (p *Plane) onFinished(now time.Duration, o control.Outcome) {

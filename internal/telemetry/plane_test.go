@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"tetriserve/internal/control"
 	"tetriserve/internal/core"
+	"tetriserve/internal/engine"
 	"tetriserve/internal/model"
 	"tetriserve/internal/sim"
 	"tetriserve/internal/simgpu"
@@ -200,6 +202,68 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestPlaneRoundDurationSkipsIdleGaps: two bursts 60τ apart park the loop in
+// between; the round-duration histogram must not record that idle stretch as
+// one long round. Every observation stays within τ plus the largest overrun
+// deferral. Eager admission is off, so every block starts at a tick and its
+// deferral is how far it ends past the next boundary.
+func TestPlaneRoundDurationSkipsIdleGaps(t *testing.T) {
+	mdl := model.FLUX()
+	topo := simgpu.H100x8()
+	coreCfg := core.DefaultConfig()
+	coreCfg.EagerAdmission = false
+	sc := core.NewScheduler(roundsProf, topo, coreCfg)
+	tau := sc.RoundDuration()
+	var reqs []*workload.Request
+	for i := 0; i < 8; i++ {
+		at := time.Duration(i%4) * 300 * time.Millisecond
+		if i >= 4 {
+			at += 60 * tau
+		}
+		reqs = append(reqs, &workload.Request{
+			ID: workload.RequestID(i), Res: model.Res512, Steps: mdl.DefaultSteps,
+			Arrival: at, SLO: 10 * time.Second,
+		})
+	}
+	p := NewPlane()
+	var tick, overrun time.Duration
+	hooks := p.Hooks().Then(control.Hooks{
+		RoundTick: func(at, _ time.Duration) { tick = at },
+		RunStarted: func(_ time.Duration, run *engine.Run) {
+			if d := run.End + time.Microsecond - (tick + tau); run.Asg.RoundAligned && d > overrun {
+				overrun = d
+			}
+		},
+	})
+	res, err := sim.Run(sim.Config{
+		Model: mdl, Topo: topo, Scheduler: sc, Requests: reqs, Profile: roundsProf, Hooks: hooks,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := (tau + overrun).Seconds()
+	le := -1.0
+	for _, b := range RoundDurationBuckets {
+		if b >= bound {
+			le = b
+			break
+		}
+	}
+	if le < 0 || le >= (60*tau).Seconds()/2 {
+		t.Fatalf("bucket layout cannot separate a round (≤ %vs) from the idle gap", bound)
+	}
+	snap := p.Registry.Snapshot()
+	count := snap["tetriserve_round_duration_seconds_count"]
+	within := snap[`tetriserve_round_duration_seconds_bucket{le="`+formatBound(le)+`"}`]
+	if count == 0 || count >= float64(res.RoundTicks) {
+		t.Fatalf("%v round-duration observations over %d ticks: want some, and fewer than the ticks", count, res.RoundTicks)
+	}
+	if within != count {
+		t.Fatalf("%v of %v round-duration observations exceed %vs (τ %v + overrun %v): an idle gap was recorded",
+			count-within, count, le, tau, overrun)
+	}
 }
 
 func TestPlaneDropCausesAndFaults(t *testing.T) {

@@ -80,6 +80,18 @@ lines=$(wc -l <"$TMP/tail.jsonl")
 grep -q '"kind":"arrival"' "$TMP/tail.jsonl"
 grep -q '"kind":"complete"' "$TMP/tail.jsonl"
 
+echo "== an idle shard parks its round grid =="
+round_ticks() {
+  curl -fsS "$BASE/metrics" | sed -n 's/^tetriserve_round_ticks_total \([0-9]*\)$/\1/p'
+}
+ticks_before=$(round_ticks)
+sleep 1
+ticks_after=$(round_ticks)
+[ "${ticks_before:-0}" -gt 0 ] || { echo "no round ticks fired under load" >&2; exit 1; }
+[ "$ticks_after" = "$ticks_before" ] || {
+  echo "idle shard kept ticking: round_ticks_total $ticks_before -> $ticks_after" >&2; exit 1; }
+echo "   round_ticks_total steady at $ticks_after"
+
 # --- fleet section: router + 2 shards, one traced request end-to-end -------
 
 echo "== starting 2 shards + router =="
