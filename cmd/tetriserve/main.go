@@ -32,7 +32,6 @@ import (
 	"tetriserve/internal/core"
 	"tetriserve/internal/costmodel"
 	"tetriserve/internal/model"
-	"tetriserve/internal/rebalance"
 	"tetriserve/internal/router"
 	"tetriserve/internal/sched"
 	"tetriserve/internal/server"
@@ -56,8 +55,6 @@ func main() {
 	rebalanceOn := flag.Bool("rebalance", false, "router mode: enable elastic GPU rebalancing across shards")
 	rebalanceGPUs := flag.String("rebalance-gpus", "", "router mode: per-shard init:max GPU counts, e.g. 2:8,2:8 (required with -rebalance)")
 	rebalanceEvery := flag.Duration("rebalance-interval", 10*time.Second, "router mode: elastic decision cadence")
-	rebalanceGap := flag.Float64("rebalance-gap", 2.0, "router mode: min per-GPU queue-drain gap (seconds) before moving a GPU")
-	rebalanceMin := flag.Int("rebalance-min-gpus", 1, "router mode: floor below which a shard never donates")
 	flag.Parse()
 
 	switch *mode {
@@ -78,8 +75,6 @@ func main() {
 			rebalance:      *rebalanceOn,
 			rebalanceGPUs:  *rebalanceGPUs,
 			rebalanceEvery: *rebalanceEvery,
-			rebalanceGap:   *rebalanceGap,
-			rebalanceMin:   *rebalanceMin,
 		})
 	default:
 		log.Fatalf("tetriserve: unknown -mode %q (want shard or router)", *mode)
@@ -129,8 +124,6 @@ type routerOptions struct {
 	rebalance      bool
 	rebalanceGPUs  string
 	rebalanceEvery time.Duration
-	rebalanceGap   float64
-	rebalanceMin   int
 }
 
 func runRouter(opt routerOptions) {
@@ -165,12 +158,8 @@ func runRouter(opt routerOptions) {
 			Shards:      resizable,
 			InitialGPUs: init,
 			MaxGPUs:     max,
-			Policy: rebalance.New(rebalance.Config{
-				MinGPUs:         opt.rebalanceMin,
-				DrainGapSeconds: opt.rebalanceGap,
-			}),
-			Interval: opt.rebalanceEvery,
-			Logf:     log.Printf,
+			Interval:    opt.rebalanceEvery,
+			Logf:        log.Printf,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -178,8 +167,7 @@ func runRouter(opt routerOptions) {
 		reb.Start()
 		defer reb.Stop()
 		api.AttachRebalancer(reb)
-		log.Printf("tetriserve: elastic rebalancing every %s (gap %.1fs, min %d GPUs)",
-			opt.rebalanceEvery, opt.rebalanceGap, opt.rebalanceMin)
+		log.Printf("tetriserve: elastic rebalancing every %s", opt.rebalanceEvery)
 	}
 	names := make([]string, len(shards))
 	for i, s := range shards {

@@ -18,7 +18,6 @@ import (
 	"tetriserve/internal/costmodel"
 	"tetriserve/internal/metrics"
 	"tetriserve/internal/model"
-	"tetriserve/internal/rebalance"
 	"tetriserve/internal/sim"
 	"tetriserve/internal/simgpu"
 	"tetriserve/internal/tablefmt"
@@ -144,13 +143,9 @@ func runElastic1Planes(ctx Context) elastic1Planes {
 		})
 	}
 	p.static, p.staticErr = runSplit(nil)
-	// The stock conservative policy (1-GPU moves, 2s drain gap, 2s cadence)
-	// is enough: the only scenario-specific knob is probing at the trace's
-	// SLO scale.
-	p.elastic, p.elasticErr = runSplit(&sim.RebalanceConfig{
-		Policy:        rebalance.New(rebalance.DefaultConfig()),
-		ProbeSLOScale: elastic1SLOScale,
-	})
+	// The fixed policy (1-GPU moves, 2s drain gap, 2s cadence) is enough:
+	// the only scenario-specific setting is probing at the trace's SLO scale.
+	p.elastic, p.elasticErr = runSplit(&sim.RebalanceConfig{ProbeSLOScale: elastic1SLOScale})
 	return p
 }
 

@@ -10,7 +10,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden experiment tables under testdata/")
 
-// goldenIDs are the experiments pinned byte-for-byte. All nine are pure
+// goldenIDs are the experiments pinned byte-for-byte. All ten are pure
 // simulation artifacts — no wall-clock-dependent cells (which excludes
 // table6's solver timing) — so quick-mode output is fully deterministic.
 // Quick mode also attaches the invariant oracle to every cell, making each
@@ -20,8 +20,9 @@ var update = flag.Bool("update", false, "rewrite golden experiment tables under 
 // cacheplan1 audits the step-cache dimension, quality ledger included).
 // ext1 and fig15 are the tables that justify core.Config's surviving switches
 // (and fig15's 1- and 10-step rows the only ones that exercise the
-// schedOverhead and maxRound constants), so they are pinned too.
-var goldenIDs = []string{"fig7", "fig8", "table5", "fault1", "routed1", "elastic1", "cacheplan1", "ext1", "fig15"}
+// schedOverhead and maxRound constants), so they are pinned too. hetero1 is
+// the third fleet table: routing across unequal shards.
+var goldenIDs = []string{"fig7", "fig8", "table5", "fault1", "routed1", "elastic1", "cacheplan1", "ext1", "fig15", "hetero1"}
 
 // goldenCtx pins every knob the tables depend on; the Context defaults are
 // free to evolve without invalidating the goldens.

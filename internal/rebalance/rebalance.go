@@ -1,118 +1,87 @@
-// Package rebalance is the elastic-capacity policy tier: it watches
-// per-shard feasibility-probe statistics (projected lateness slack, queued
-// GPU·seconds by resolution class) and decides which shards should donate
-// GPUs to which. The policy is deliberately a pure, deterministic function
-// of its inputs — the same probe snapshot always yields the same moves — so
-// the sharded simulator can replay rebalancing as virtual-clock events
-// bit-identically, and the live rebalancer is auditable from its logs.
+// Package rebalance is the fleet's elastic-capacity tier: one decision round
+// that probes every shard, picks at most one GPU move from the answers, and
+// applies it to a requested-GPU-count ledger. The sharded simulator
+// (sim.RunSharded) and the live rebalancer (server.LiveRebalancer) both run
+// this round; they differ only in the clock that paces it and in how a probe
+// or a resize reaches a shard.
 //
-// Mechanism lives elsewhere: callers translate a Move into a pair of
-// control.ApplyResize calls (shrink the donor's mask, grow the receiver's),
-// which take effect at each loop's next round boundary with full step credit
-// and latent handoff (engine.Resize). This package only picks the moves.
+// The policy has no knobs. A donor keeps at least one GPU, only a shard
+// projected late on some probed class may receive, and a move must close at
+// least two seconds of drain-time imbalance without swapping who is
+// overloaded. It is a pure function of the probes, so the simulator replays
+// rebalancing bit-identically and the live rebalancer is auditable from its
+// logs.
+//
+// Capacity stays a contiguous prefix of each shard's topology: a resize to n
+// GPUs means "own GPUs 0..n-1", which keeps every intermediate capacity
+// buddy-decomposable. A resize lands at the shard loop's next round boundary
+// (engine.Resize: full step credit and latent handoff), so the applied
+// capacity may lag the ledger; rounds chain off the ledger, or two rounds
+// inside one τ would re-donate the same GPU.
 package rebalance
 
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
+	"tetriserve/internal/control"
 	"tetriserve/internal/model"
+	"tetriserve/internal/workload"
 )
 
-// ShardLoad summarizes one shard's probed state for a decision round.
-type ShardLoad struct {
-	// Name identifies the shard in logs and tests.
-	Name string
-	// HealthyGPUs is the shard's owned, non-failed device count
-	// (engine.HealthyGPUs) — the denominator of the drain estimate.
+// Policy constants: one value each in use (DESIGN §6).
+const (
+	minGPUs  = 1   // a donor never drops below this many GPUs
+	drainGap = 2.0 // seconds of drain imbalance a move must close
+)
+
+// defaultProbeSLOScale scales the per-class SLO budgets of a round's probes
+// when the caller sets no scale of its own.
+const defaultProbeSLOScale = 1.5
+
+// shardLoad is one shard's probed state in a round.
+type shardLoad struct {
+	// HealthyGPUs is the shard's ledger count, or 0 when it answered no
+	// probe — the denominator of the drain estimate.
 	HealthyGPUs int
 	// QueueGPUSeconds is the backlog's cheapest-possible GPU·seconds
 	// (Feasibility.QueueGPUSeconds).
 	QueueGPUSeconds float64
-	// QueueByClass optionally splits the backlog by resolution class; when
-	// non-nil and QueueGPUSeconds is zero, its sum is used instead.
-	QueueByClass map[model.Resolution]float64
-	// WorstSlack is the most pessimistic probe slack across the resolution
-	// classes the caller probed (negative: the shard is projected late even
-	// under best-case packing).
+	// WorstSlack is the most pessimistic slack across the probed classes
+	// (negative: the shard is projected late even under best-case packing).
 	WorstSlack time.Duration
 }
 
-// queue returns the effective backlog GPU·seconds.
-func (s ShardLoad) queue() float64 {
-	if s.QueueGPUSeconds > 0 || s.QueueByClass == nil {
-		return s.QueueGPUSeconds
+// load folds a shard's answered probes into its shardLoad. A shard that
+// answered none would look idle — the ideal donor — and its failing shrink
+// would end every round; counting it as 0 GPUs makes it neither donor nor
+// receiver while keeping indices stable.
+func load(gpus int, probes []control.Feasibility) shardLoad {
+	l := shardLoad{WorstSlack: math.MaxInt64}
+	if len(probes) == 0 {
+		return l
 	}
-	var total float64
-	for _, v := range s.QueueByClass {
-		total += v
+	l.HealthyGPUs = gpus
+	for _, f := range probes {
+		l.QueueGPUSeconds = f.QueueGPUSeconds
+		l.WorstSlack = min(l.WorstSlack, f.Slack)
 	}
-	return total
+	return l
 }
 
-// Move is one donate/receive decision: From gives GPUs devices to To (both
-// indices into the ShardLoad slice handed to Decide).
+// Move is one GPU handed from shard From to shard To (indices into the
+// round's shards). FromGPUs and ToGPUs are the post-move ledger counts; Round
+// fills them.
 type Move struct {
-	From, To int
-	GPUs     int
+	From, To         int
+	FromGPUs, ToGPUs int
 }
 
-func (m Move) String() string {
-	return fmt.Sprintf("move %d GPU(s): shard[%d] -> shard[%d]", m.GPUs, m.From, m.To)
-}
-
-// Config tunes the policy.
-type Config struct {
-	// MinGPUs is the per-shard capacity floor a donor may not cross
-	// (default 1 — a shard is never drained to zero by policy).
-	MinGPUs int
-	// DrainGapSeconds is the minimum difference in projected drain time
-	// (queue GPU·seconds / healthy GPUs) between receiver and donor before a
-	// move is worth its reconfiguration cost (default 2s of drain imbalance).
-	DrainGapSeconds float64
-	// SlackFloor gates receivers: only shards whose worst probed slack is
-	// below it are eligible to receive (default 0 — the shard must be
-	// projected late somewhere before it pulls capacity).
-	SlackFloor time.Duration
-	// MaxMoves bounds moves per decision round (default 1); each extra move
-	// is evaluated against the post-move hypothetical capacities.
-	MaxMoves int
-}
-
-// DefaultConfig returns the paper-faithful conservative policy: single-GPU
-// moves, one per decision, only toward shards already projected late.
-func DefaultConfig() Config {
-	return Config{
-		MinGPUs:         1,
-		DrainGapSeconds: 2.0,
-		SlackFloor:      0,
-		MaxMoves:        1,
-	}
-}
-
-// Policy decides GPU moves from probe snapshots.
-type Policy struct {
-	cfg Config
-}
-
-// New builds a policy, applying Config defaults for zero fields.
-func New(cfg Config) *Policy {
-	if cfg.MinGPUs <= 0 {
-		cfg.MinGPUs = 1
-	}
-	if cfg.DrainGapSeconds <= 0 {
-		cfg.DrainGapSeconds = 2.0
-	}
-	if cfg.MaxMoves <= 0 {
-		cfg.MaxMoves = 1
-	}
-	return &Policy{cfg: cfg}
-}
-
-// drain is the fluid-model time for a shard to clear its backlog on its
-// (hypothetical) healthy count. A shard with work but no devices drains
-// never; an idle shard drains instantly.
+// drain is the fluid-model time for a shard to clear its backlog on healthy
+// GPUs. A shard with work but no devices drains never; an idle shard drains
+// instantly.
 func drain(queueGPUSeconds float64, healthy int) float64 {
 	if healthy <= 0 {
 		if queueGPUSeconds > 0 {
@@ -123,51 +92,113 @@ func drain(queueGPUSeconds float64, healthy int) float64 {
 	return queueGPUSeconds / float64(healthy)
 }
 
-// Decide returns the moves for one decision round, most-beneficial first.
-// Determinism contract: identical loads yield identical moves; all ties
-// break toward the lowest shard index. An empty result means the fleet is
-// balanced within the configured gap (or no legal donor/receiver exists).
-func (p *Policy) Decide(loads []ShardLoad) []Move {
-	if len(loads) < 2 {
-		return nil
-	}
-	healthy := make([]int, len(loads))
+// decide picks the round's move, if any: from the shard with the least drain
+// time that may donate, to the late shard with the most. Identical loads
+// yield the identical move; ties break toward the lowest shard index. ok is
+// false when the fleet is balanced within the drain gap or no legal donor or
+// receiver exists.
+func decide(loads []shardLoad) (m Move, ok bool) {
+	donor, receiver := -1, -1
+	var donorDrain, recvDrain float64
 	for i, l := range loads {
-		healthy[i] = l.HealthyGPUs
+		d := drain(l.QueueGPUSeconds, l.HealthyGPUs)
+		if l.WorstSlack < 0 && (receiver < 0 || d > recvDrain) {
+			receiver, recvDrain = i, d
+		}
+		if l.HealthyGPUs > minGPUs && (donor < 0 || d < donorDrain) {
+			donor, donorDrain = i, d
+		}
 	}
+	if donor < 0 || receiver < 0 || donor == receiver {
+		return Move{}, false
+	}
+	if math.IsInf(recvDrain, 1) {
+		recvDrain = math.MaxFloat64
+	}
+	if recvDrain-donorDrain < drainGap {
+		return Move{}, false
+	}
+	d := loads[donor]
+	if drain(d.QueueGPUSeconds, d.HealthyGPUs-1) > recvDrain {
+		return Move{}, false // the move would just swap who is overloaded
+	}
+	return Move{From: donor, To: receiver}, true
+}
 
-	var moves []Move
-	for n := 0; n < p.cfg.MaxMoves; n++ {
-		donor, receiver := -1, -1
-		var donorDrain, recvDrain float64
-		for i, l := range loads {
-			d := drain(l.queue(), healthy[i])
-			// Receiver: projected late (slack below floor), maximal drain.
-			if l.WorstSlack < p.cfg.SlackFloor && (receiver < 0 || d > recvDrain) {
-				receiver, recvDrain = i, d
-			}
-			// Donor: above the floor, minimal drain.
-			if healthy[i] > p.cfg.MinGPUs && (donor < 0 || d < donorDrain) {
-				donor, donorDrain = i, d
-			}
-		}
-		if donor < 0 || receiver < 0 || donor == receiver {
-			break
-		}
-		// The move must close a real gap: receiver drains DrainGapSeconds
-		// slower than the donor even after accounting for the donor's loss.
-		if math.IsInf(recvDrain, 1) {
-			recvDrain = math.MaxFloat64
-		}
-		if recvDrain-donorDrain < p.cfg.DrainGapSeconds {
-			break
-		}
-		if drain(loads[donor].queue(), healthy[donor]-1) > recvDrain {
-			break // the move would just swap who is overloaded
-		}
-		moves = append(moves, Move{From: donor, To: receiver, GPUs: 1})
-		healthy[donor]--
-		healthy[receiver]++
+// Probes returns the classes a round probes on every shard: each standard
+// resolution at its SLO budget scaled by sloScale (≤ 0 means 1.5).
+func Probes(sloScale float64) []control.ProbeClass {
+	if sloScale <= 0 {
+		sloScale = defaultProbeSLOScale
 	}
-	return moves
+	slo := workload.NewSLOPolicy(sloScale)
+	var classes []control.ProbeClass
+	for _, res := range model.StandardResolutions() {
+		classes = append(classes, control.ProbeClass{Res: res, SLO: slo.Budget(res)})
+	}
+	return classes
+}
+
+// Ledger is the requested GPU count of each shard, capped by its topology.
+// Only Round writes it; Counts may be read from any goroutine.
+type Ledger struct {
+	mu     sync.Mutex
+	counts []int
+	caps   []int
+	loads  []shardLoad // reused scratch
+}
+
+// NewLedger seeds a ledger with each shard's starting count and its
+// topology cap.
+func NewLedger(initial, caps []int) (*Ledger, error) {
+	if len(initial) != len(caps) {
+		return nil, fmt.Errorf("rebalance: %d initial counts for %d caps", len(initial), len(caps))
+	}
+	for i := range initial {
+		if initial[i] < 0 || initial[i] > caps[i] {
+			return nil, fmt.Errorf("rebalance: shard %d initial GPUs %d outside [0, %d]", i, initial[i], caps[i])
+		}
+	}
+	return &Ledger{
+		counts: append([]int(nil), initial...),
+		caps:   append([]int(nil), caps...),
+		loads:  make([]shardLoad, len(initial)),
+	}, nil
+}
+
+// Counts returns a copy of the requested GPU counts.
+func (l *Ledger) Counts() []int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]int(nil), l.counts...)
+}
+
+// Round runs one probe → decide → resize round. probe(i) returns shard i's
+// answered probes (read before the next call); resize(i, n) asks shard i to
+// own exactly its lowest n GPUs. A move toward a shard already at its
+// topology cap is not made. A failed shrink leaves every shard and the ledger
+// as they were; a failed grow hands the GPU back to the donor. Either failure
+// returns the error and no move.
+func (l *Ledger) Round(probe func(i int) []control.Feasibility, resize func(i, n int) error) (Move, bool, error) {
+	for i := range l.loads {
+		l.loads[i] = load(l.counts[i], probe(i))
+	}
+	m, ok := decide(l.loads)
+	if !ok || l.counts[m.To] >= l.caps[m.To] {
+		return Move{}, false, nil
+	}
+	m.FromGPUs, m.ToGPUs = l.counts[m.From]-1, l.counts[m.To]+1
+	if err := resize(m.From, m.FromGPUs); err != nil {
+		return Move{}, false, fmt.Errorf("rebalance: shrink shard %d: %w", m.From, err)
+	}
+	if err := resize(m.To, m.ToGPUs); err != nil {
+		// Re-park the GPU on the donor so the applied state matches the
+		// unchanged ledger again; the grow failure is the one worth reporting.
+		_ = resize(m.From, l.counts[m.From])
+		return Move{}, false, fmt.Errorf("rebalance: grow shard %d: %w", m.To, err)
+	}
+	l.mu.Lock()
+	l.counts[m.From], l.counts[m.To] = m.FromGPUs, m.ToGPUs
+	l.mu.Unlock()
+	return m, true, nil
 }

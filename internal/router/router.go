@@ -25,6 +25,7 @@ package router
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -70,6 +71,7 @@ type ProbeResult struct {
 
 // Decision is the full routing verdict for one submission.
 type Decision struct {
+	// At is the router's shard clock at the decision (see Route).
 	At     time.Duration
 	Tenant string
 	Res    model.Resolution
@@ -81,6 +83,9 @@ type Decision struct {
 	Reason    Reason
 	Shard     int
 	ShardName string
+	// TraceID is the fleet-wide trace ID minted on acceptance, "t-<n>" for
+	// the n-th admission ("" otherwise).
+	TraceID string
 	// Slack is the chosen shard's projected deadline slack (accepted), or
 	// the best (least negative) slack across shards (infeasible).
 	Slack time.Duration
@@ -135,7 +140,8 @@ type Router struct {
 	shards []Shard
 
 	mu          sync.Mutex
-	ledger      []admission // FIFO within the fairness window
+	now         time.Duration // latest probed shard clock
+	ledger      []admission   // FIFO within the fairness window
 	tenants     map[string]*tenantLedger
 	shardRouted []int
 	stats       Stats
@@ -154,13 +160,14 @@ func New(cfg Config, shards []Shard) (*Router, error) {
 	}, nil
 }
 
-// Route decides where (whether) to place one submission. now is the caller's
-// clock reading — the shared virtual clock in simulation, the driver clock
-// online — and orders the fairness window; steps ≤ 0 defaults to each
-// shard's model step count.
-func (r *Router) Route(now time.Duration, tenant string, res model.Resolution, steps int, slo time.Duration) Decision {
+// Route decides where (whether) to place one submission; steps ≤ 0 defaults
+// to each shard's model step count. The fairness window runs on the shard
+// clock: the latest Feasibility.Now any probe has reported, so the window and
+// the GPU·seconds it holds share one time base, and it never moves backwards.
+// In simulation every shard reads the one virtual clock; online it is the
+// furthest-ahead shard loop clock.
+func (r *Router) Route(tenant string, res model.Resolution, steps int, slo time.Duration) Decision {
 	dec := Decision{
-		At:     now,
 		Tenant: tenant,
 		Res:    res,
 		Steps:  steps,
@@ -176,6 +183,7 @@ func (r *Router) Route(now time.Duration, tenant string, res model.Resolution, s
 	worstCase, worstSet := time.Duration(0), false
 	healthy, known := 0, false
 	var service float64
+	var probed time.Duration
 	for i, s := range r.shards {
 		f, err := s.ProbeFeasibility(res, steps, slo)
 		if err != nil {
@@ -184,6 +192,7 @@ func (r *Router) Route(now time.Duration, tenant string, res model.Resolution, s
 		}
 		dec.Probes = append(dec.Probes, ProbeResult{Shard: s.Name(), Feas: f})
 		known = true
+		probed = max(probed, f.Now)
 		healthy += f.HealthyGPUs
 		if f.ServiceGPUSeconds > service {
 			service = f.ServiceGPUSeconds
@@ -230,8 +239,10 @@ func (r *Router) Route(now time.Duration, tenant string, res model.Resolution, s
 	}
 
 	r.mu.Lock()
-	r.prune(now)
-	if dec.Accepted && r.overloaded(now, healthy) && r.overFairShare(tenant) {
+	r.now = max(r.now, probed)
+	dec.At = r.now
+	r.prune(r.now)
+	if dec.Accepted && r.overloaded(r.now, healthy) && r.overFairShare(tenant) {
 		dec.Accepted = false
 		dec.Reason = ReasonShed
 		dec.Shard = -1
@@ -239,7 +250,7 @@ func (r *Router) Route(now time.Duration, tenant string, res model.Resolution, s
 		dec.CacheAssisted = false
 		dec.RetryAfter = minRetryAfter
 	}
-	r.record(now, dec, service)
+	r.record(&dec, service)
 	r.mu.Unlock()
 
 	if r.cfg.Observer != nil {
@@ -316,8 +327,9 @@ func (r *Router) weight(tenant string) float64 {
 	return 1
 }
 
-// record updates the ledger and counters for one decision (mu held).
-func (r *Router) record(now time.Duration, dec Decision, gpuSeconds float64) {
+// record updates the ledger and counters for one decision and mints an
+// admitted one's trace ID (mu held).
+func (r *Router) record(dec *Decision, gpuSeconds float64) {
 	t := r.tenants[dec.Tenant]
 	if t == nil {
 		t = &tenantLedger{}
@@ -327,10 +339,11 @@ func (r *Router) record(now time.Duration, dec Decision, gpuSeconds float64) {
 	switch dec.Reason {
 	case ReasonRouted:
 		r.stats.Routed++
+		dec.TraceID = "t-" + strconv.Itoa(r.stats.Routed)
 		r.shardRouted[dec.Shard]++
 		t.admitted++
 		t.gpuSeconds += gpuSeconds
-		r.ledger = append(r.ledger, admission{at: now, tenant: dec.Tenant, gpuSeconds: gpuSeconds})
+		r.ledger = append(r.ledger, admission{at: dec.At, tenant: dec.Tenant, gpuSeconds: gpuSeconds})
 	case ReasonInfeasible:
 		r.stats.Infeasible++
 		t.rejected++

@@ -55,7 +55,7 @@ func TestRoutepicksMaxSlackShard(t *testing.T) {
 	c := &fakeShard{name: "c", feas: losing(time.Second, 2)}
 	r := mustNew(t, Config{}, a, b, c)
 
-	dec := r.Route(0, "t", model.Res512, 0, 2*time.Second)
+	dec := r.Route("t", model.Res512, 0, 2*time.Second)
 	if !dec.Accepted || dec.Reason != ReasonRouted {
 		t.Fatalf("want routed, got %+v", dec)
 	}
@@ -81,7 +81,7 @@ func TestRouteTieBreaksToLowestIndex(t *testing.T) {
 	r := mustNew(t, Config{}, a, b)
 
 	for i := 0; i < 5; i++ {
-		if dec := r.Route(0, "", model.Res512, 0, time.Second); dec.Shard != 0 {
+		if dec := r.Route("", model.Res512, 0, time.Second); dec.Shard != 0 {
 			t.Fatalf("tie must break to index 0, got %d", dec.Shard)
 		}
 	}
@@ -94,7 +94,7 @@ func TestRouteInfeasibleSetsRetryAfter(t *testing.T) {
 	b := &fakeShard{name: "b", feas: losing(2*time.Second, 2)}
 	r := mustNew(t, Config{}, a, b)
 
-	dec := r.Route(0, "t", model.Res512, 0, time.Second)
+	dec := r.Route("t", model.Res512, 0, time.Second)
 	if dec.Accepted || dec.Reason != ReasonInfeasible {
 		t.Fatalf("want infeasible, got %+v", dec)
 	}
@@ -110,7 +110,7 @@ func TestRetryAfterFloorsAtMinimum(t *testing.T) {
 	a := &fakeShard{name: "a", feas: losing(10*time.Millisecond, 2)}
 	r := mustNew(t, Config{}, a)
 
-	dec := r.Route(0, "", model.Res512, 0, time.Second)
+	dec := r.Route("", model.Res512, 0, time.Second)
 	if dec.RetryAfter != time.Second {
 		t.Fatalf("want floored Retry-After 1s, got %v", dec.RetryAfter)
 	}
@@ -124,8 +124,8 @@ func TestEveryRouteProbesEveryShard(t *testing.T) {
 	b := &fakeShard{name: "b", feas: losing(time.Second, 2)}
 	r := mustNew(t, Config{}, a, b)
 
-	r.Route(0, "t", model.Res512, 0, 2*time.Second)
-	r.Route(0, "t", model.Res512, 0, 2*time.Second)
+	r.Route("t", model.Res512, 0, 2*time.Second)
+	r.Route("t", model.Res512, 0, 2*time.Second)
 	if a.probes != 2 || b.probes != 2 {
 		t.Fatalf("probes = %d, %d, want 2, 2 (every decision live)", a.probes, b.probes)
 	}
@@ -136,7 +136,7 @@ func TestRouteUnknownResolution(t *testing.T) {
 	b := &fakeShard{name: "b", err: fmt.Errorf("resolution not profiled")}
 	r := mustNew(t, Config{}, a, b)
 
-	dec := r.Route(0, "t", model.Resolution{W: 48, H: 48}, 0, time.Second)
+	dec := r.Route("t", model.Resolution{W: 48, H: 48}, 0, time.Second)
 	if dec.Accepted || dec.Reason != ReasonUnknown {
 		t.Fatalf("want unknown_resolution, got %+v", dec)
 	}
@@ -150,7 +150,7 @@ func TestErroringShardIsSkippedNotFatal(t *testing.T) {
 	b := &fakeShard{name: "b", feas: winnable(time.Second, 2)}
 	r := mustNew(t, Config{}, a, b)
 
-	dec := r.Route(0, "", model.Res512, 0, time.Second)
+	dec := r.Route("", model.Res512, 0, time.Second)
 	if !dec.Accepted || dec.Shard != 1 {
 		t.Fatalf("want routed to b despite a's error, got %+v", dec)
 	}
@@ -173,7 +173,8 @@ func TestWeightedFairShedding(t *testing.T) {
 	now := 3 * fairnessWindow // past the window ramp so capacity is full-size
 	var heavyShed, lightShed int
 	for i := 0; i < 12; i++ {
-		if dec := r.Route(now, "heavy", model.Res512, 0, time.Second); dec.Reason == ReasonShed {
+		shard.feas.Now = now
+		if dec := r.Route("heavy", model.Res512, 0, time.Second); dec.Reason == ReasonShed {
 			heavyShed++
 		}
 		now += 100 * time.Millisecond
@@ -182,7 +183,8 @@ func TestWeightedFairShedding(t *testing.T) {
 	// stay well inside its share.
 	shard.feas.ServiceGPUSeconds = 0.6
 	for i := 0; i < 4; i++ {
-		if dec := r.Route(now, "light", model.Res512, 0, time.Second); dec.Reason == ReasonShed {
+		shard.feas.Now = now
+		if dec := r.Route("light", model.Res512, 0, time.Second); dec.Reason == ReasonShed {
 			lightShed++
 		}
 		now += 100 * time.Millisecond
@@ -210,7 +212,8 @@ func TestNoSheddingWithoutOverload(t *testing.T) {
 
 	now := 3 * fairnessWindow
 	for i := 0; i < 20; i++ {
-		if dec := r.Route(now, "only", model.Res512, 0, time.Second); !dec.Accepted {
+		shard.feas.Now = now
+		if dec := r.Route("only", model.Res512, 0, time.Second); !dec.Accepted {
 			t.Fatalf("request %d rejected (%s) with an idle fleet", i, dec.Reason)
 		}
 		now += 10 * time.Millisecond
@@ -227,12 +230,13 @@ func TestLedgerPruning(t *testing.T) {
 
 	now := 2 * fairnessWindow
 	for i := 0; i < 10; i++ {
-		r.Route(now, "t", model.Res512, 0, time.Second)
+		shard.feas.Now = now
+		r.Route("t", model.Res512, 0, time.Second)
 		now += 50 * time.Millisecond
 	}
 	// Jump far past the window: everything admitted above ages out.
-	now += time.Hour
-	dec := r.Route(now, "t", model.Res512, 0, time.Second)
+	shard.feas.Now = now + time.Hour
+	dec := r.Route("t", model.Res512, 0, time.Second)
 	if !dec.Accepted {
 		t.Fatalf("want admission after window reset, got %s", dec.Reason)
 	}
@@ -248,12 +252,12 @@ func TestStatsAggregation(t *testing.T) {
 	a := &fakeShard{name: "a", feas: winnable(time.Second, 2)}
 	r := mustNew(t, Config{}, a)
 
-	r.Route(0, "t1", model.Res512, 0, time.Second)
-	r.Route(0, "t2", model.Res512, 0, time.Second)
+	r.Route("t1", model.Res512, 0, time.Second)
+	r.Route("t2", model.Res512, 0, time.Second)
 	a.feas = losing(5*time.Second, 2)
-	r.Route(0, "t2", model.Res512, 0, time.Second)
+	r.Route("t2", model.Res512, 0, time.Second)
 	a.err = fmt.Errorf("resolution not profiled")
-	r.Route(0, "t1", model.Resolution{W: 48, H: 48}, 0, time.Second)
+	r.Route("t1", model.Resolution{W: 48, H: 48}, 0, time.Second)
 
 	st := r.Stats()
 	if st.Decisions != 4 || st.Routed != 2 || st.Infeasible != 1 || st.Unknown != 1 {
@@ -279,9 +283,9 @@ func TestObserverSeesEveryDecision(t *testing.T) {
 	var seen []Decision
 	r := mustNew(t, Config{Observer: func(d Decision) { seen = append(seen, d) }}, a)
 
-	r.Route(0, "t", model.Res512, 0, time.Second)
+	r.Route("t", model.Res512, 0, time.Second)
 	a.feas = losing(time.Second, 2)
-	r.Route(0, "t", model.Res512, 0, time.Second)
+	r.Route("t", model.Res512, 0, time.Second)
 
 	if len(seen) != 2 || seen[0].Reason != ReasonRouted || seen[1].Reason != ReasonInfeasible {
 		t.Fatalf("observer saw %+v", seen)
@@ -291,5 +295,31 @@ func TestObserverSeesEveryDecision(t *testing.T) {
 func TestNewRequiresShards(t *testing.T) {
 	if _, err := New(Config{}, nil); err == nil {
 		t.Fatal("want error for zero shards")
+	}
+}
+
+// TestRouteClockAndTraceIDs: a decision is stamped with the latest shard
+// clock any probe reported, which never moves backwards, and only
+// admissions mint trace IDs, numbered in admission order.
+func TestRouteClockAndTraceIDs(t *testing.T) {
+	a := &fakeShard{name: "a", feas: winnable(time.Second, 2)}
+	b := &fakeShard{name: "b", feas: losing(time.Second, 2)}
+	r := mustNew(t, Config{}, a, b)
+
+	a.feas.Now, b.feas.Now = 5*time.Second, 9*time.Second
+	if dec := r.Route("t", model.Res512, 0, time.Second); dec.At != 9*time.Second || dec.TraceID != "t-1" {
+		t.Fatalf("at %v trace %q, want 9s t-1", dec.At, dec.TraceID)
+	}
+	a.feas.Now, b.feas.Now = 2*time.Second, 3*time.Second
+	if dec := r.Route("t", model.Res512, 0, time.Second); dec.At != 9*time.Second || dec.TraceID != "t-2" {
+		t.Fatalf("at %v trace %q, want the clock held at 9s and t-2", dec.At, dec.TraceID)
+	}
+	a.feas = losing(time.Second, 2)
+	if dec := r.Route("t", model.Res512, 0, time.Second); dec.Accepted || dec.TraceID != "" {
+		t.Fatalf("rejection minted trace %q", dec.TraceID)
+	}
+	a.feas = winnable(time.Second, 2)
+	if dec := r.Route("t", model.Res512, 0, time.Second); dec.TraceID != "t-3" {
+		t.Fatalf("trace %q, want t-3 (rejections take no number)", dec.TraceID)
 	}
 }

@@ -1,27 +1,19 @@
 package server
 
-// LiveRebalancer is the online counterpart of the sim harness's elastic
-// rebalancer: a background loop that, on a fixed wall-clock cadence, probes
-// every shard's feasibility, asks the rebalance policy for donate/receive
-// moves, and applies them as capacity resizes. The policy and the probe
-// signals are exactly those the deterministic simulator exercises — only the
-// clock and the transport differ — so behavior validated under the oracle
-// carries over to the live path.
-//
-// Shard GPU counts are tracked in a requested-count ledger, not read back
-// from the shards: resizes land at each shard loop's next round boundary, so
-// the applied view may lag, and chaining decisions off it could re-donate the
-// same GPU. Capacity always stays a contiguous prefix of each shard's
-// topology (ResizableShard.Resize semantics).
+// LiveRebalancer is the online caller of the fleet's rebalance round
+// (rebalance.Ledger.Round), the same round the sim harness runs: on a fixed
+// wall-clock cadence it probes every shard, lets the policy pick a move, and
+// applies it as capacity resizes. Only the clock and the transport differ
+// from the simulator, so behavior validated under the oracle carries over to
+// the live path.
 
 import (
 	"fmt"
 	"sync"
 	"time"
 
-	"tetriserve/internal/model"
+	"tetriserve/internal/control"
 	"tetriserve/internal/rebalance"
-	"tetriserve/internal/workload"
 )
 
 // LiveRebalancerConfig configures the online elastic rebalancer.
@@ -34,8 +26,6 @@ type LiveRebalancerConfig struct {
 	// InitialGPUs seeds the requested-count ledger (each shard's starting
 	// capacity), parallel to Shards.
 	InitialGPUs []int
-	// Policy defaults to rebalance.New(rebalance.DefaultConfig()).
-	Policy *rebalance.Policy
 	// Interval is the wall-clock decision cadence (default 10 s).
 	Interval time.Duration
 	// Logf receives move and error diagnostics (default: discarded).
@@ -45,16 +35,15 @@ type LiveRebalancerConfig struct {
 // LiveRebalancer runs the elastic control loop; build with NewLiveRebalancer,
 // then Start/Stop.
 type LiveRebalancer struct {
-	cfg    LiveRebalancerConfig
-	policy *rebalance.Policy
-	slo    workload.SLOPolicy
+	cfg     LiveRebalancerConfig
+	ledger  *rebalance.Ledger
+	classes []control.ProbeClass
 
 	stop    chan struct{}
 	stopped chan struct{}
 	once    sync.Once
 
 	mu      sync.Mutex
-	counts  []int
 	moves   int
 	history []MoveRecord
 }
@@ -75,10 +64,6 @@ type MoveRecord struct {
 // moveHistoryCap bounds the rebalance history retained for GET /v1/fleet.
 const moveHistoryCap = 64
 
-// probeSLOScale scales the per-class SLO budgets of the lateness-slack
-// probes, one per standard resolution.
-const probeSLOScale = 1.5
-
 // NewLiveRebalancer validates the configuration and builds a rebalancer (not
 // yet running).
 func NewLiveRebalancer(cfg LiveRebalancerConfig) (*LiveRebalancer, error) {
@@ -88,26 +73,19 @@ func NewLiveRebalancer(cfg LiveRebalancerConfig) (*LiveRebalancer, error) {
 	if len(cfg.MaxGPUs) != len(cfg.Shards) || len(cfg.InitialGPUs) != len(cfg.Shards) {
 		return nil, fmt.Errorf("server: MaxGPUs and InitialGPUs must parallel Shards")
 	}
-	for i := range cfg.Shards {
-		if cfg.InitialGPUs[i] < 0 || cfg.InitialGPUs[i] > cfg.MaxGPUs[i] {
-			return nil, fmt.Errorf("server: shard %d initial GPUs %d outside [0, %d]",
-				i, cfg.InitialGPUs[i], cfg.MaxGPUs[i])
-		}
-	}
-	policy := cfg.Policy
-	if policy == nil {
-		policy = rebalance.New(rebalance.DefaultConfig())
+	ledger, err := rebalance.NewLedger(cfg.InitialGPUs, cfg.MaxGPUs)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * time.Second
 	}
 	return &LiveRebalancer{
 		cfg:     cfg,
-		policy:  policy,
-		slo:     workload.NewSLOPolicy(probeSLOScale),
+		ledger:  ledger,
+		classes: rebalance.Probes(0),
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
-		counts:  append([]int(nil), cfg.InitialGPUs...),
 	}, nil
 }
 
@@ -130,11 +108,7 @@ func (r *LiveRebalancer) Moves() int {
 }
 
 // Counts returns the current requested GPU counts per shard.
-func (r *LiveRebalancer) Counts() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]int(nil), r.counts...)
-}
+func (r *LiveRebalancer) Counts() []int { return r.ledger.Counts() }
 
 // History returns the most recent applied moves, oldest first (bounded to
 // moveHistoryCap entries).
@@ -158,85 +132,47 @@ func (r *LiveRebalancer) loop() {
 	}
 }
 
-// decide runs one probe → policy → resize round.
+// decide runs one rebalance round and records the move it applied, if any.
 func (r *LiveRebalancer) decide() {
-	loads := make([]rebalance.ShardLoad, len(r.cfg.Shards))
-	r.mu.Lock()
-	counts := append([]int(nil), r.counts...)
-	r.mu.Unlock()
-	for i, s := range r.cfg.Shards {
-		worst := time.Duration(1<<63 - 1)
-		var queue float64
-		answered := false
-		for _, res := range model.StandardResolutions() {
-			f, err := s.ProbeFeasibility(res, 0, r.slo.Budget(res))
-			if err != nil {
-				continue // class not profiled on this shard, or shard unreachable
-			}
-			answered = true
-			queue = f.QueueGPUSeconds
-			if f.Slack < worst {
-				worst = f.Slack
-			}
-		}
-		// A shard that answered no probe would look idle — the ideal donor —
-		// and its failing shrink would end every round. Zero healthy GPUs
-		// makes it neither donor nor receiver while keeping indices stable.
-		healthy := counts[i]
-		if !answered {
-			healthy = 0
-		}
-		loads[i] = rebalance.ShardLoad{
-			Name:            s.Name(),
-			HealthyGPUs:     healthy,
-			QueueGPUSeconds: queue,
-			WorstSlack:      worst,
-		}
+	m, ok, err := r.ledger.Round(r.probe, r.resize)
+	if err != nil {
+		r.logf("server: %v", err)
+		return
 	}
-	for _, m := range r.policy.Decide(loads) {
-		for g := 0; g < m.GPUs; g++ {
-			if counts[m.From] <= 0 || counts[m.To] >= r.cfg.MaxGPUs[m.To] {
-				break
-			}
-			counts[m.From]--
-			counts[m.To]++
-			if err := r.cfg.Shards[m.From].Resize(counts[m.From]); err != nil {
-				// Roll the ledger back: the donor still owns the GPU.
-				counts[m.From]++
-				counts[m.To]--
-				r.logf("server: rebalance shrink %s failed: %v", loads[m.From].Name, err)
-				break
-			}
-			if err := r.cfg.Shards[m.To].Resize(counts[m.To]); err != nil {
-				// The donor already gave the GPU up; parking it donor-side
-				// again keeps the ledger consistent with applied state.
-				counts[m.To]--
-				counts[m.From]++
-				_ = r.cfg.Shards[m.From].Resize(counts[m.From])
-				r.logf("server: rebalance grow %s failed: %v", loads[m.To].Name, err)
-				break
-			}
-			r.mu.Lock()
-			r.moves++
-			r.history = append(r.history, MoveRecord{
-				AtUnixMS: time.Now().UnixMilli(),
-				From:     loads[m.From].Name,
-				To:       loads[m.To].Name,
-				FromGPUs: counts[m.From],
-				ToGPUs:   counts[m.To],
-			})
-			if len(r.history) > moveHistoryCap {
-				r.history = r.history[len(r.history)-moveHistoryCap:]
-			}
-			r.mu.Unlock()
-			r.logf("server: rebalanced 1 GPU %s → %s (%d → %d GPUs)",
-				loads[m.From].Name, loads[m.To].Name, counts[m.From], counts[m.To])
-		}
+	if !ok {
+		return
 	}
+	from, to := r.cfg.Shards[m.From].Name(), r.cfg.Shards[m.To].Name()
 	r.mu.Lock()
-	copy(r.counts, counts)
+	r.moves++
+	r.history = append(r.history, MoveRecord{
+		AtUnixMS: time.Now().UnixMilli(),
+		From:     from,
+		To:       to,
+		FromGPUs: m.FromGPUs,
+		ToGPUs:   m.ToGPUs,
+	})
+	if len(r.history) > moveHistoryCap {
+		r.history = r.history[len(r.history)-moveHistoryCap:]
+	}
 	r.mu.Unlock()
+	r.logf("server: rebalanced 1 GPU %s → %s (%d → %d GPUs)", from, to, m.FromGPUs, m.ToGPUs)
 }
+
+// probe returns the classes shard i answered.
+func (r *LiveRebalancer) probe(i int) []control.Feasibility {
+	var answered []control.Feasibility
+	for _, c := range r.classes {
+		f, err := r.cfg.Shards[i].ProbeFeasibility(c.Res, c.Steps, c.SLO)
+		if err != nil {
+			continue // class not profiled on this shard, or shard unreachable
+		}
+		answered = append(answered, f)
+	}
+	return answered
+}
+
+func (r *LiveRebalancer) resize(i, n int) error { return r.cfg.Shards[i].Resize(n) }
 
 func (r *LiveRebalancer) logf(format string, args ...any) {
 	if r.cfg.Logf != nil {

@@ -12,11 +12,13 @@ import (
 	"testing"
 	"time"
 
+	"tetriserve/internal/control"
 	"tetriserve/internal/core"
 	"tetriserve/internal/costmodel"
 	"tetriserve/internal/model"
 	"tetriserve/internal/router"
 	"tetriserve/internal/simgpu"
+	"tetriserve/internal/workload"
 )
 
 // --- satellite: SSE follower unsubscription ------------------------------
@@ -403,5 +405,106 @@ func TestRouterAPIConcurrentSubmissions(t *testing.T) {
 	wg.Wait()
 	if st := api.Router().Stats(); st.Decisions != 16 {
 		t.Fatalf("decisions = %d, want 16", st.Decisions)
+	}
+}
+
+// clockShard is a RouterShard with a scripted probe answer that accepts
+// every submission.
+type clockShard struct {
+	feas control.Feasibility
+	jobs int
+}
+
+func (s *clockShard) Name() string { return "clock" }
+
+func (s *clockShard) ProbeFeasibility(model.Resolution, int, time.Duration) (control.Feasibility, error) {
+	return s.feas, nil
+}
+
+func (s *clockShard) Submit(workload.Prompt, model.Resolution, time.Duration) (Job, error) {
+	s.jobs++
+	return Job{ID: workload.RequestID(s.jobs)}, nil
+}
+
+// routedPost submits one routed request straight to the handler and returns
+// the status code.
+func routedPost(t *testing.T, h http.Handler, req RoutedGenerateRequest) int {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/generate", bytes.NewReader(body)))
+	return rec.Code
+}
+
+// TestRouterAPIRejectsSteps: shards serve every job at the model's default
+// step count, so a routed request asking for another count is a client
+// error — admitting it on a projection for steps the shard will not run
+// would be unsound.
+func TestRouterAPIRejectsSteps(t *testing.T) {
+	shard := &clockShard{feas: control.Feasibility{Winnable: true, Slack: time.Second, HealthyGPUs: 2, ServiceGPUSeconds: 1}}
+	api, err := NewRouterAPI(router.Config{}, []RouterShard{shard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := api.Handler()
+	req := RoutedGenerateRequest{Prompt: "a koi pond", Width: 512, Height: 512, SLOMillis: 30_000, Steps: 10}
+	if code := routedPost(t, h, req); code != http.StatusBadRequest {
+		t.Fatalf("steps 10: status %d, want 400", code)
+	}
+	if shard.jobs != 0 || api.Router().Stats().Decisions != 0 {
+		t.Fatalf("a rejected steps request reached the router or the shard")
+	}
+	req.Steps = 0
+	if code := routedPost(t, h, req); code != http.StatusAccepted {
+		t.Fatalf("default steps: status %d, want 202", code)
+	}
+}
+
+// TestRouterAPIFairnessWindowOnShardClock: the fairness window runs on the
+// shard clock the probes report, the time base of the GPU·seconds it weighs,
+// not on the router's wall time. The shard clock reads an hour — where a
+// Speedup far above 1 puts it within minutes — so capacity over the 60 s
+// window is 0.85 × 2 GPUs × 60 s = 102 GPU·s; every admission books 1 GPU·s
+// and tenants weigh gold 3 : bronze 1.
+func TestRouterAPIFairnessWindowOnShardClock(t *testing.T) {
+	shard := &clockShard{feas: control.Feasibility{
+		Now: time.Hour, Winnable: true, Slack: time.Second, HealthyGPUs: 2, ServiceGPUSeconds: 1,
+	}}
+	api, err := NewRouterAPI(router.Config{
+		TenantWeights: map[string]float64{"gold": 3, "bronze": 1},
+	}, []RouterShard{shard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := api.Handler()
+	post := func(tenant string) int {
+		return routedPost(t, h, RoutedGenerateRequest{
+			Prompt: "a koi pond", Width: 512, Height: 512, SLOMillis: 30_000, Tenant: tenant,
+		})
+	}
+	// 100 GPU·s, half of it bronze's: under capacity, so nothing is shed
+	// although bronze is far over its quarter share.
+	for i := 0; i < 50; i++ {
+		for _, tenant := range []string{"gold", "bronze"} {
+			if code := post(tenant); code != http.StatusAccepted {
+				t.Fatalf("pair %d, %s: status %d with the window under capacity", i, tenant, code)
+			}
+		}
+	}
+	// Gold, within its share, is admitted past the bound (104 GPU·s)...
+	for i := 0; i < 4; i++ {
+		if code := post("gold"); code != http.StatusAccepted {
+			t.Fatalf("gold %d: status %d, want 202 (within its share)", i, code)
+		}
+	}
+	// ...and now bronze, over its share in an overloaded window, is shed.
+	if code := post("bronze"); code != http.StatusTooManyRequests {
+		t.Fatalf("bronze past the bound: status %d, want 429", code)
+	}
+	if st := api.Router().Stats(); st.Shed != 1 || st.Routed != 104 {
+		t.Fatalf("shed %d routed %d, want 1 and 104", st.Shed, st.Routed)
 	}
 }

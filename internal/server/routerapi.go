@@ -239,12 +239,14 @@ func (s *RemoteShard) FetchTimeline(key string) (*lifecycle.Timeline, bool, erro
 // RouterAPI is the admission/routing front end — the -mode router HTTP
 // surface:
 //
-//	POST /v1/generate        {prompt, width, height, slo_ms?, steps?, tenant?}
+//	POST /v1/generate        {prompt, width, height, slo_ms?, tenant?}
 //	                         → 202 job + shard on accept,
 //	                           429 + Retry-After on early reject,
-//	                           400 for unknown resolutions
+//	                           400 for unknown resolutions or a non-zero
+//	                           steps (shards serve the model's default)
 //	GET  /v1/router/stats    → admission counters, per-shard and per-tenant
-//	GET  /v1/router/stats?explain=K → + the last K routing decisions
+//	GET  /v1/router/stats?explain=K → + the last K routing decisions, each
+//	                           stamped (at_us) with the router's shard clock
 //	GET  /v1/requests/{id}   → lifecycle span timeline, proxied from the
 //	                           shard the trace was routed to
 //	GET  /v1/fleet           → one aggregated fleet document (router stats,
@@ -253,8 +255,9 @@ func (s *RemoteShard) FetchTimeline(key string) (*lifecycle.Timeline, bool, erro
 //	GET  /metrics            → Prometheus text exposition (router metrics)
 //	GET  /healthz            → 200 ok
 //
-// The router's fairness window runs on its own monotonic clock (wall time
-// since construction); shard loops keep their own speedup-scaled clocks.
+// The router's fairness window runs on the shard clock: the latest
+// Feasibility.Now its probes report (router.Route), the same time base as the
+// GPU·seconds it weighs, whatever each shard's Speedup.
 type RouterAPI struct {
 	// Logf is the serving-path diagnostic sink, as on API.
 	Logf func(format string, args ...any)
@@ -262,14 +265,12 @@ type RouterAPI struct {
 	rt         *router.Router
 	shards     []RouterShard
 	plane      *telemetry.RouterPlane
-	start      time.Time
 	hashPrompt func(string) workload.Prompt
 
-	// mu guards trace-id minting and the trace → shard placement map (a
-	// bounded FIFO: traceCap newest routed requests stay resolvable without
-	// fanning the timeline proxy out to every shard).
+	// mu guards the trace → shard placement map (a bounded FIFO: traceCap
+	// newest routed requests stay resolvable without fanning the timeline
+	// proxy out to every shard).
 	mu         sync.Mutex
-	traceSeq   uint64
 	traceShard map[string]int
 	traceFIFO  []string
 	traceCap   int
@@ -283,7 +284,6 @@ func NewRouterAPI(cfg router.Config, shards []RouterShard) (*RouterAPI, error) {
 	a := &RouterAPI{
 		shards:     shards,
 		plane:      telemetry.NewRouterPlane(nil),
-		start:      time.Now(),
 		hashPrompt: HashPrompt,
 		traceShard: map[string]int{},
 		traceCap:   16384,
@@ -307,13 +307,10 @@ func (a *RouterAPI) Router() *router.Router { return a.rt }
 // AttachRebalancer lets /v1/fleet report elastic GPU-move history.
 func (a *RouterAPI) AttachRebalancer(rb *LiveRebalancer) { a.reb = rb }
 
-// mintTrace allocates the next fleet-wide trace id and records the shard
-// the request landed on.
-func (a *RouterAPI) mintTrace(shard int) string {
+// placeTrace records the shard an admitted trace landed on.
+func (a *RouterAPI) placeTrace(id string, shard int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.traceSeq++
-	id := fmt.Sprintf("t-%d", a.traceSeq)
 	if len(a.traceFIFO) >= a.traceCap {
 		evict := a.traceFIFO[0]
 		a.traceFIFO = a.traceFIFO[1:]
@@ -321,7 +318,6 @@ func (a *RouterAPI) mintTrace(shard int) string {
 	}
 	a.traceShard[id] = shard
 	a.traceFIFO = append(a.traceFIFO, id)
-	return id
 }
 
 // Telemetry exposes the router telemetry plane.
@@ -349,7 +345,8 @@ type RoutedGenerateRequest struct {
 	Height int    `json:"height"`
 	// SLOMillis overrides the default per-resolution deadline.
 	SLOMillis int64 `json:"slo_ms,omitempty"`
-	// Steps overrides the model's step count (≤ 0 = default).
+	// Steps must be 0: shards serve every job at the model's default step
+	// count, so admitting on another count's projection would be unsound.
 	Steps int `json:"steps,omitempty"`
 	// Tenant is the weighted-fair admission identity ("" = default tenant).
 	Tenant string `json:"tenant,omitempty"`
@@ -386,12 +383,16 @@ func (a *RouterAPI) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		a.httpError(w, http.StatusBadRequest, "width/height must be positive multiples of 16")
 		return
 	}
+	if req.Steps != 0 {
+		a.httpError(w, http.StatusBadRequest, "steps is not supported: shards serve the model's default step count")
+		return
+	}
 	slo := time.Duration(req.SLOMillis) * time.Millisecond
 	if slo <= 0 {
 		slo = workload.NewSLOPolicy(1.0).InterpolatedBudget(res)
 	}
 
-	dec := a.rt.Route(time.Since(a.start), req.Tenant, res, req.Steps, slo)
+	dec := a.rt.Route(req.Tenant, res, 0, slo)
 	switch dec.Reason {
 	case router.ReasonUnknown:
 		a.httpError(w, http.StatusBadRequest, "resolution %v not profiled on any shard", res)
@@ -410,9 +411,11 @@ func (a *RouterAPI) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Mint the fleet-wide trace id at admission; shards that understand
-	// traced submissions thread it through their lifecycle recorder.
-	trace := a.mintTrace(dec.Shard)
+	// The router minted the fleet-wide trace id at admission; shards that
+	// understand traced submissions thread it through their lifecycle
+	// recorder.
+	trace := dec.TraceID
+	a.placeTrace(trace, dec.Shard)
 	var job Job
 	var err error
 	if ts, ok := a.shards[dec.Shard].(TracedSubmitter); ok {
@@ -544,6 +547,7 @@ type routerStatsView struct {
 
 // decisionView is the JSON shape of one routing decision.
 type decisionView struct {
+	// AtUS is the router's shard clock at the decision (router.Decision.At).
 	AtUS         int64             `json:"at_us"`
 	Tenant       string            `json:"tenant,omitempty"`
 	Resolution   string            `json:"resolution"`

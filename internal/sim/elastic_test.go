@@ -2,13 +2,13 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"tetriserve/internal/core"
 	"tetriserve/internal/costmodel"
 	"tetriserve/internal/model"
-	"tetriserve/internal/rebalance"
 	"tetriserve/internal/sched"
 	"tetriserve/internal/simgpu"
 	"tetriserve/internal/workload"
@@ -158,16 +158,10 @@ func skewedTrace(n int, seed uint64) []*workload.Request {
 func TestRunShardedRebalanceMovesGPUsDeterministically(t *testing.T) {
 	run := func() *ShardedResult {
 		res, err := RunSharded(ShardedConfig{
-			Model:    testMdl,
-			Shards:   elasticShards(2, 2),
-			Requests: skewedTrace(40, 7),
-			Rebalance: &RebalanceConfig{
-				Policy: rebalance.New(rebalance.Config{
-					MinGPUs:         1,
-					DrainGapSeconds: 1,
-					MaxMoves:        1,
-				}),
-			},
+			Model:           testMdl,
+			Shards:          elasticShards(2, 2),
+			Requests:        skewedTrace(40, 7),
+			Rebalance:       &RebalanceConfig{},
 			DropLateFactor:  4.0,
 			CheckInvariants: true,
 		})
@@ -231,5 +225,22 @@ func TestRunShardedRebalanceOffByDefault(t *testing.T) {
 	}
 	if len(res.Rebalances) != 0 {
 		t.Fatalf("moves without a rebalance config: %v", res.Rebalances)
+	}
+}
+
+// TestRunShardedRebalanceRejectsNonPrefixCapacity: the rebalance ledger
+// counts GPUs and resizes to prefixes, so a shard that starts on any other
+// slice is a configuration error, not a silent renumbering.
+func TestRunShardedRebalanceRejectsNonPrefixCapacity(t *testing.T) {
+	specs := elasticShards(2, 2)
+	specs[1].Capacity = simgpu.MaskRange(2, 2)
+	_, err := RunSharded(ShardedConfig{
+		Model:     testMdl,
+		Shards:    specs,
+		Requests:  skewedTrace(4, 7),
+		Rebalance: &RebalanceConfig{},
+	})
+	if err == nil || !strings.Contains(err.Error(), "prefix") {
+		t.Fatalf("err = %v, want a non-prefix Capacity rejected", err)
 	}
 }

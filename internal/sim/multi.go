@@ -31,7 +31,8 @@ type ShardSpec struct {
 	// Capacity restricts the shard to a subset of its topology's GPUs at
 	// start (elastic serving: build shards on a common full-size topology
 	// and slice it, so rebalancing can grow a shard without changing its
-	// profile). Zero means the full topology.
+	// profile). Zero means the full topology. With ShardedConfig.Rebalance
+	// set it must be a prefix, GPUs 0..n-1.
 	Capacity simgpu.Mask
 }
 
@@ -161,9 +162,8 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 	loops := make([]*control.Loop, len(cfg.Shards))
 	oracles := make([]*invariant.Oracle, len(cfg.Shards))
 	shards := make([]router.Shard, len(cfg.Shards))
-	names := make([]string, len(cfg.Shards))
 	profs := make([]*costmodel.Profile, len(cfg.Shards))
-	alls := make([]simgpu.Mask, len(cfg.Shards))
+	caps := make([]int, len(cfg.Shards))
 	recordLifecycle := cfg.Lifecycle || cfg.SpanSink != nil
 	var recs []*lifecycle.Recorder
 	if recordLifecycle {
@@ -184,6 +184,9 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 		}
 		engCfg := engine.DefaultConfig()
 		if spec.Capacity != 0 {
+			if cfg.Rebalance != nil && spec.Capacity != simgpu.MaskRange(0, spec.Capacity.Count()) {
+				return nil, fmt.Errorf("sim: shard %d: rebalancing needs a prefix Capacity (GPUs 0..n-1), got %v", i, spec.Capacity)
+			}
 			engCfg.Capacity = spec.Capacity
 		}
 		ctlCfg := control.Config{
@@ -211,9 +214,8 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 			return nil, fmt.Errorf("sim: shard %d: %w", i, err)
 		}
 		loops[i] = l
-		names[i] = name
 		profs[i] = prof
-		alls[i] = spec.Topo.AllMask()
+		caps[i] = spec.Topo.N
 		shards[i] = loopShard{name: name, l: l}
 	}
 
@@ -224,7 +226,9 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 
 	var reb *rebalancer
 	if cfg.Rebalance != nil {
-		reb = newRebalancer(cfg.Rebalance, loops, profs, names, alls)
+		if reb, err = newRebalancer(cfg.Rebalance, loops, profs, caps); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
 	}
 
 	out := &ShardedResult{Routed: map[workload.RequestID]int{}}
@@ -266,14 +270,12 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 			next++
 			clk.Advance(r.Arrival)
 			tn := tenant(r)
-			dec := rt.Route(r.Arrival, tn, r.Res, r.Steps, r.SLO)
+			// Every probe reads the shared clock at the arrival instant, so
+			// the router's fairness window runs on arrival times.
+			dec := rt.Route(tn, r.Res, r.Steps, r.SLO)
 			if dec.Accepted {
-				// Mint the fleet-wide trace id at admission, exactly like the
-				// live router: the admission sequence number is deterministic
-				// for a fixed trace, so trace IDs (and the timelines keyed by
-				// them) reproduce bit-identically across runs.
 				if r.TraceID == "" {
-					r.TraceID = fmt.Sprintf("t-%d", len(out.Routed)+1)
+					r.TraceID = dec.TraceID
 				}
 				if r.Tenant == "" {
 					r.Tenant = tn

@@ -6,13 +6,7 @@ import (
 	"time"
 )
 
-// Lowest returns the mask of m's lowest-id set GPU (0 when m is empty) —
-// the slot an elastic shard grows into when it keeps its capacity a
-// contiguous, buddy-alignable prefix.
-func (m Mask) Lowest() Mask { return m & -m }
-
-// Highest returns the mask of m's highest-id set GPU (0 when m is empty) —
-// the slot an elastic shard donates first, preserving prefix contiguity.
+// Highest returns the mask of m's highest-id set GPU (0 when m is empty).
 func (m Mask) Highest() Mask {
 	if m == 0 {
 		return 0

@@ -92,7 +92,8 @@ ticks_after=$(round_ticks)
   echo "idle shard kept ticking: round_ticks_total $ticks_before -> $ticks_after" >&2; exit 1; }
 echo "   round_ticks_total steady at $ticks_after"
 
-# --- fleet section: router + 2 shards, one traced request end-to-end -------
+# --- fleet section: router + 2 shards + live rebalancer, one traced request
+# end-to-end ------------------------------------------------------------------
 
 echo "== starting 2 shards + router =="
 "$TMP/tetriserve" -addr "$SHARD_A_ADDR" -speedup 50 &
@@ -107,7 +108,8 @@ for addr in "$SHARD_A_ADDR" "$SHARD_B_ADDR"; do
   curl -fsS "http://$addr/v1/stats" >/dev/null
 done
 "$TMP/tetriserve" -mode router -addr "$ROUTER_ADDR" \
-  -shards "a=http://$SHARD_A_ADDR,b=http://$SHARD_B_ADDR" &
+  -shards "a=http://$SHARD_A_ADDR,b=http://$SHARD_B_ADDR" \
+  -rebalance -rebalance-gpus 8:8,8:8 -rebalance-interval 1s &
 ROUTER_PID=$!
 for i in $(seq 1 50); do
   curl -fsS "$ROUTER_BASE/v1/router/stats" >/dev/null 2>&1 && break
@@ -146,6 +148,10 @@ grep -q '"name":"b"' "$TMP/fleet.json"
 grep -q '"routed":1' "$TMP/fleet.json"
 reachable=$(grep -o '"reachable":true' "$TMP/fleet.json" | wc -l)
 [ "$reachable" -eq 2 ] || { echo "fleet reports $reachable reachable shards, want 2" >&2; exit 1; }
+# Both shards start at their 8-GPU cap, so the live rebalancer's rounds run
+# but can move nothing.
+grep -q '"gpu_counts":\[8,8\]' "$TMP/fleet.json" || {
+  echo "fleet rebalancer view: $(cat "$TMP/fleet.json")" >&2; exit 1; }
 
 echo "== tetrictl trace / fleet / top -shards =="
 "$TMP/tetrictl" -server "$ROUTER_BASE" trace "$trace"

@@ -19,7 +19,6 @@ import (
 	"tetriserve/internal/core"
 	"tetriserve/internal/engine"
 	"tetriserve/internal/lifecycle"
-	"tetriserve/internal/rebalance"
 	"tetriserve/internal/router"
 	"tetriserve/internal/server"
 	"tetriserve/internal/sim"
@@ -171,9 +170,8 @@ func TestOptionCensus(t *testing.T) {
 	var fields []string
 	for _, cfg := range []any{
 		core.Config{}, router.Config{}, control.Config{}, engine.Config{},
-		rebalance.Config{}, sim.Config{}, sim.ShardSpec{}, sim.ShardedConfig{},
-		sim.RebalanceConfig{}, server.DriverConfig{}, server.LiveRebalancerConfig{},
-		lifecycle.Config{},
+		sim.Config{}, sim.ShardSpec{}, sim.ShardedConfig{}, sim.RebalanceConfig{},
+		server.DriverConfig{}, server.LiveRebalancerConfig{}, lifecycle.Config{},
 	} {
 		typ := reflect.TypeOf(cfg)
 		for i := 0; i < typ.NumField(); i++ {
