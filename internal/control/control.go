@@ -27,6 +27,7 @@
 package control
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -234,15 +235,22 @@ type Loop struct {
 	q   eventq.Queue
 	eng *engine.Engine
 
+	// states is the request tracker: every admitted, unfinished request,
+	// pending or running. Finalization deletes the entry, so nothing in it is
+	// ever done.
 	states map[workload.RequestID]*sched.RequestState
-	// pending preserves arrival order among unfinished, non-running
-	// requests.
-	pending  []*sched.RequestState
+	// pending holds exactly the tracked requests that are not running, in
+	// the order they (re)joined the queue: the order expiry drops them in
+	// and the probe sums the backlog in.
+	pending []*sched.RequestState
+	// queue holds the same states sorted by (arrival, ID), the order the
+	// planner sees. Binary insertion and removal keep it sorted, so a round
+	// copies it instead of sorting the whole queue.
+	queue    []*sched.RequestState
 	inflight map[engine.RunID]*engine.Run
 	// runEv maps in-flight runs to their completion events so GPU faults
 	// can cancel the completions of blocks they abort.
 	runEv map[engine.RunID]eventq.Handle
-	done  map[workload.RequestID]bool
 	res   *Result
 	// left counts admitted-or-scheduled requests not yet finalized.
 	left int
@@ -300,7 +308,6 @@ func New(cfg Config, clk clock.Clock) (*Loop, error) {
 		states:   make(map[workload.RequestID]*sched.RequestState),
 		inflight: make(map[engine.RunID]*engine.Run),
 		runEv:    make(map[engine.RunID]eventq.Handle),
-		done:     make(map[workload.RequestID]bool),
 		res: &Result{
 			SchedulerName: cfg.Scheduler.Name(),
 			NGPU:          cfg.Topo.N,
@@ -490,7 +497,7 @@ func (l *Loop) admit(now time.Duration, r *workload.Request) {
 		Remaining: steps,
 	}
 	l.states[r.ID] = st
-	l.pending = append(l.pending, st)
+	l.enqueue(st)
 	if l.cfg.Hooks.Admitted != nil {
 		l.cfg.Hooks.Admitted(now, r)
 	}
@@ -546,7 +553,7 @@ func (l *Loop) onRunDone(now time.Duration, run *engine.Run) error {
 		} else if l.cfg.DropLateFactor > 0 && l.pastDrop(now, st) {
 			l.drop(now, st, DropExpired)
 		} else {
-			l.pending = append(l.pending, st)
+			l.enqueue(st)
 		}
 	}
 	// Observers were notified and the record copied; the run struct can be
@@ -617,6 +624,7 @@ func (l *Loop) plan(now time.Duration) {
 		Capacity: l.eng.Capacity(),
 		Pending:  l.snapshotPending(),
 		Running:  l.snapshotRunning(),
+		Tracked:  l.states,
 		Profile:  l.cfg.Profile,
 		Topo:     l.cfg.Topo,
 	}
@@ -665,8 +673,9 @@ func (l *Loop) plan(now time.Duration) {
 			l.cfg.Hooks.RunStarted(now, run)
 		}
 		for _, id := range asg.Requests {
-			l.setRunning(l.states[id])
-			l.removePending(id)
+			st := l.states[id]
+			l.setRunning(st)
+			l.removePending(st)
 			if l.cfg.Hooks.Started != nil {
 				l.cfg.Hooks.Started(now, id)
 			}
@@ -686,6 +695,7 @@ func (l *Loop) expire(now time.Duration) {
 	kept := l.pending[:0]
 	for _, st := range l.pending {
 		if !st.Running && l.pastDrop(now, st) {
+			l.unqueue(st)
 			l.drop(now, st, DropExpired)
 		} else {
 			kept = append(kept, st)
@@ -773,7 +783,7 @@ func (l *Loop) onGPUFail(now time.Duration, mask simgpu.Mask) {
 			case l.cfg.DropLateFactor > 0 && l.pastDrop(now, st):
 				l.drop(now, st, DropExpired)
 			default:
-				l.pending = append(l.pending, st)
+				l.enqueue(st)
 				if l.cfg.Hooks.Requeued != nil {
 					l.cfg.Hooks.Requeued(now, id, RequeueFault)
 				}
@@ -868,7 +878,7 @@ func (l *Loop) applyResize(now time.Duration, newMask simgpu.Mask) {
 			case l.cfg.DropLateFactor > 0 && l.pastDrop(now, st):
 				l.drop(now, st, DropExpired)
 			default:
-				l.pending = append(l.pending, st)
+				l.enqueue(st)
 				if l.cfg.Hooks.Requeued != nil {
 					l.cfg.Hooks.Requeued(now, id, RequeueResize)
 				}
@@ -912,30 +922,37 @@ func (l *Loop) dispatchDelay() time.Duration {
 
 func (l *Loop) snapshotPending() []*sched.RequestState {
 	out := l.pendSnap[:0]
-	for _, st := range l.pending {
-		if !st.Running && st.Remaining > 0 && !l.done[st.Req.ID] {
+	for _, st := range l.queue {
+		if !st.Running && st.Remaining > 0 {
 			out = append(out, st)
 		}
 	}
-	// Arrival order is part of the FIFO baselines' semantics; re-queued
-	// requests must not jump ahead of earlier arrivals.
-	slices.SortStableFunc(out, func(a, b *sched.RequestState) int {
-		if a.Req.Arrival != b.Req.Arrival {
-			if a.Req.Arrival < b.Req.Arrival {
-				return -1
-			}
-			return 1
-		}
-		if a.Req.ID != b.Req.ID {
-			if a.Req.ID < b.Req.ID {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
 	l.pendSnap = out
 	return out
+}
+
+// byArrival is the planner's queue order. Arrival order is part of the FIFO
+// baselines' semantics; re-queued requests must not jump ahead of earlier
+// arrivals. (arrival, ID) is a total order, so every state has one slot.
+func byArrival(a, b *sched.RequestState) int {
+	if c := cmp.Compare(a.Req.Arrival, b.Req.Arrival); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Req.ID, b.Req.ID)
+}
+
+// enqueue returns a tracked, non-running request to both pending orders.
+func (l *Loop) enqueue(st *sched.RequestState) {
+	l.pending = append(l.pending, st)
+	i, _ := slices.BinarySearchFunc(l.queue, st, byArrival)
+	l.queue = slices.Insert(l.queue, i, st)
+}
+
+// unqueue removes st from the arrival-sorted queue.
+func (l *Loop) unqueue(st *sched.RequestState) {
+	if i, ok := slices.BinarySearchFunc(l.queue, st, byArrival); ok {
+		l.queue = slices.Delete(l.queue, i, i+1)
+	}
 }
 
 // setRunning / clearRunning keep l.running in sync with st.Running. All
@@ -980,12 +997,11 @@ func (l *Loop) snapshotRunning() []*sched.RequestState {
 	return out
 }
 
-func (l *Loop) removePending(id workload.RequestID) {
-	for i, st := range l.pending {
-		if st.Req.ID == id {
-			l.pending = append(l.pending[:i], l.pending[i+1:]...)
-			return
-		}
+// removePending takes a dispatched request out of both pending orders.
+func (l *Loop) removePending(st *sched.RequestState) {
+	l.unqueue(st)
+	if i := slices.Index(l.pending, st); i >= 0 {
+		l.pending = slices.Delete(l.pending, i, i+1)
 	}
 }
 
@@ -1044,7 +1060,6 @@ func (l *Loop) finish(now time.Duration, st *sched.RequestState) {
 		Approximated: st.QualityUsed,
 	}
 	l.res.Outcomes = append(l.res.Outcomes, out)
-	l.done[r.ID] = true
 	l.left--
 	delete(l.states, r.ID)
 	if l.cfg.Hooks.Finished != nil {
@@ -1075,7 +1090,6 @@ func (l *Loop) drop(now time.Duration, st *sched.RequestState, cause DropCause) 
 // also feeds the trimmer).
 func (l *Loop) finalize(now time.Duration, out Outcome) {
 	l.res.Outcomes = append(l.res.Outcomes, out)
-	l.done[out.ID] = true
 	l.left--
 	delete(l.states, out.ID)
 	if l.cfg.Hooks.Dropped != nil {

@@ -119,15 +119,14 @@ func (l *Loop) ProbeClasses(classes []ProbeClass, out []Feasibility) error {
 	maxCache := l.maxCacheInterval()
 
 	// Backlog: every tracked, unfinished request costed at its cheapest
-	// profiled degree. The pending list may hold stale entries for requests
-	// that finished out of a block (same filter snapshotPending applies);
-	// running requests are counted by their remaining steps only. A fully
-	// failed pool skips the walk: no projection reads it.
+	// profiled degree (the pending filter is the one snapshotPending
+	// applies); running requests are counted by their remaining steps only.
+	// A fully failed pool skips the walk: no projection reads it.
 	var backlog float64
 	pending := 0
 	if healthy > 0 {
 		for _, st := range l.pending {
-			if st.Running || st.Remaining <= 0 || l.done[st.Req.ID] {
+			if st.Running || st.Remaining <= 0 {
 				continue
 			}
 			pending++

@@ -49,15 +49,12 @@ type planScratch struct {
 	mixArena    []mixEntry
 	memoProf    *costmodel.Profile
 	memoVersion uint64
-	// tminCache memoizes Profile.MinStepTime per resolution — the lookup is
-	// a degree-loop of map probes and the planner needs it twice per pending
-	// request per round (late partition + candidate survival bounds). Tied
-	// to the memo epoch: reset only when the profile identity/version moves.
-	tminCache map[model.Resolution]time.Duration
-	// cfgCache memoizes buildDegCfgs per resolution on the same epoch: the
-	// table depends only on (profile, resolution, window, quantization
-	// flag), and rebuilding it was most of every solveMix call.
-	cfgCache map[model.Resolution][]degCfg
+	// resMemo memoizes the per-resolution derivations (see resMemo) on the
+	// memo epoch: reset only when the profile identity/version moves. The
+	// planner asks for one twice per pending request per round (late
+	// partition + candidate survival bounds); a profile holds a handful of
+	// resolutions, so a short scan finds the entry without hashing a key.
+	resMemo []resMemo
 
 	// Stage 2: DP state. dp/next are the rolling pair of value rows; choice
 	// is the flattened back-pointer table, len(cands)×cols.
@@ -87,6 +84,15 @@ type degCfg struct {
 	g float64 // GPU-seconds per step
 }
 
+// resMemo is one resolution's memoized derivations: Profile.MinStepTime and
+// buildDegCfgs, which depends only on (profile, resolution, window,
+// quantization flag) — rebuilding it was most of every solveMix call.
+type resMemo struct {
+	res  model.Resolution
+	tmin time.Duration
+	cfgs []degCfg
+}
+
 // beginPlan resets the per-round buffers and memo for a fresh solve.
 func (s *Scheduler) beginPlan(prof *costmodel.Profile) {
 	sc := &s.scratch
@@ -105,34 +111,35 @@ func (s *Scheduler) ensureMemo(prof *costmodel.Profile) {
 	sc := &s.scratch
 	if sc.mixMemo == nil || sc.memoProf != prof || sc.memoVersion != prof.Version() {
 		sc.mixMemo = make(map[mixKey][]mixEntry)
-		sc.tminCache = make(map[model.Resolution]time.Duration)
-		sc.cfgCache = make(map[model.Resolution][]degCfg)
+		sc.resMemo = sc.resMemo[:0]
 		sc.memoProf = prof
 		sc.memoVersion = prof.Version()
 	}
 }
 
+// memo returns res's memoized derivations, computing them on first use in
+// the epoch.
+func (s *Scheduler) memo(prof *costmodel.Profile, res model.Resolution) *resMemo {
+	sc := &s.scratch
+	for i := range sc.resMemo {
+		if sc.resMemo[i].res == res {
+			return &sc.resMemo[i]
+		}
+	}
+	tmin, _ := prof.MinStepTime(res)
+	sc.resMemo = append(sc.resMemo, resMemo{res: res, tmin: tmin, cfgs: s.buildDegCfgs(prof, res)})
+	return &sc.resMemo[len(sc.resMemo)-1]
+}
+
 // minStep is the cached Profile.MinStepTime (value identical by
 // construction, so planning decisions cannot shift).
 func (s *Scheduler) minStep(prof *costmodel.Profile, res model.Resolution) time.Duration {
-	sc := &s.scratch
-	if t, ok := sc.tminCache[res]; ok {
-		return t
-	}
-	t, _ := prof.MinStepTime(res)
-	sc.tminCache[res] = t
-	return t
+	return s.memo(prof, res).tmin
 }
 
 // degCfgs is the cached buildDegCfgs.
 func (s *Scheduler) degCfgs(prof *costmodel.Profile, res model.Resolution) []degCfg {
-	sc := &s.scratch
-	if c, ok := sc.cfgCache[res]; ok {
-		return c
-	}
-	c := s.buildDegCfgs(prof, res)
-	sc.cfgCache[res] = c
-	return c
+	return s.memo(prof, res).cfgs
 }
 
 // definitelyLate mirrors sched.RequestState.DefinitelyLate through the

@@ -45,6 +45,12 @@ type Recorder struct {
 	byTrace map[string]*Timeline
 	byID    map[workload.RequestID]*Timeline
 
+	// waiting holds timelines that opened a plan-wait span no plan has
+	// considered yet. onPlanComputed resolves each through
+	// ctx.PendingState, so a round costs the requests that (re)joined the
+	// queue since the last plan, not the queue.
+	waiting []*Timeline
+
 	// final is a ring of finalized timelines; ringAt is the next overwrite
 	// position once the ring is full.
 	final  []*Timeline
@@ -218,7 +224,7 @@ func (r *Recorder) onAdmitted(now time.Duration, req *workload.Request) {
 		open:       -1,
 	}
 	tl.Spans = append(tl.Spans, Span{Kind: SpanAdmission, StartUS: us(now), EndUS: us(now)})
-	r.openSpan(tl, SpanPlanWait, now)
+	r.openPlanWait(tl, now)
 	r.active[req.ID] = tl
 	r.byTrace[trace] = tl
 	r.byID[req.ID] = tl
@@ -228,6 +234,13 @@ func (r *Recorder) openSpan(tl *Timeline, kind SpanKind, at time.Duration) *Span
 	tl.Spans = append(tl.Spans, Span{Kind: kind, StartUS: us(at), EndUS: us(at)})
 	tl.open = len(tl.Spans) - 1
 	return &tl.Spans[tl.open]
+}
+
+// openPlanWait opens a plan-wait span and queues the timeline for the next
+// plan's queue transition.
+func (r *Recorder) openPlanWait(tl *Timeline, at time.Duration) {
+	r.openSpan(tl, SpanPlanWait, at)
+	r.waiting = append(r.waiting, tl)
 }
 
 func (r *Recorder) closeSpan(tl *Timeline, at time.Duration) {
@@ -250,9 +263,13 @@ func (r *Recorder) dropOpen(tl *Timeline) {
 func (r *Recorder) onPlanComputed(now, _ time.Duration, ctx *sched.PlanContext) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, st := range ctx.Pending {
-		tl, ok := r.active[st.Req.ID]
-		if !ok || tl.open < 0 || tl.Spans[tl.open].Kind != SpanPlanWait {
+	kept := r.waiting[:0]
+	for _, tl := range r.waiting {
+		if tl.Done || tl.open < 0 || tl.Spans[tl.open].Kind != SpanPlanWait {
+			continue // finalized, or the wait already ended
+		}
+		if _, ok := ctx.PendingState(workload.RequestID(tl.ID)); !ok {
+			kept = append(kept, tl)
 			continue
 		}
 		// First plan that considered the request: plan-wait ends, queueing
@@ -260,6 +277,8 @@ func (r *Recorder) onPlanComputed(now, _ time.Duration, ctx *sched.PlanContext) 
 		r.closeSpan(tl, now)
 		r.openSpan(tl, SpanQueue, now)
 	}
+	clear(r.waiting[len(kept):])
+	r.waiting = kept
 }
 
 func (r *Recorder) onRunStarted(now time.Duration, run *engine.Run) {
@@ -307,7 +326,7 @@ func (r *Recorder) onRunFinished(_ time.Duration, run *engine.Run) {
 	// synchronously for retiring members) discard it.
 	for _, id := range run.Asg.Requests {
 		if tl, ok := r.active[id]; ok && tl.open < 0 {
-			r.openSpan(tl, SpanPlanWait, run.End)
+			r.openPlanWait(tl, run.End)
 		}
 	}
 }
@@ -356,7 +375,7 @@ func (r *Recorder) onRequeued(now time.Duration, id workload.RequestID, cause co
 	}
 	tl.Spans = append(tl.Spans, Span{Kind: SpanRequeued, StartUS: us(now), EndUS: us(now), Cause: string(cause)})
 	tl.open = -1
-	r.openSpan(tl, SpanPlanWait, now)
+	r.openPlanWait(tl, now)
 }
 
 func (r *Recorder) onFinished(_ time.Duration, o control.Outcome) {

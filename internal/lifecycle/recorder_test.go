@@ -271,3 +271,58 @@ func TestSinkStreamsJSONL(t *testing.T) {
 		t.Errorf("phases = %+v, want one class with 5 requests", ph)
 	}
 }
+
+// TestPlanWaitEndsAtFirstPlanListingTheRequest: a plan whose context does
+// not list a waiting request leaves its plan-wait open; the first plan that
+// lists it — through a scan of Pending or through the loop's tracker —
+// closes it. A requeue re-arms the transition for the next plan.
+func TestPlanWaitEndsAtFirstPlanListingTheRequest(t *testing.T) {
+	rec := NewRecorder(Config{})
+	h := rec.Hooks()
+	a, b := req(1, "a", ""), req(2, "b", "")
+	h.Admitted(1*ms, a)
+	h.Admitted(1*ms, b)
+	stA := &sched.RequestState{Req: a, Remaining: a.Steps}
+	stB := &sched.RequestState{Req: b, Remaining: b.Steps}
+
+	// A plan that lists only a.
+	h.PlanComputed(2*ms, 0, &sched.PlanContext{Now: 2 * ms, Pending: []*sched.RequestState{stA}})
+	// The next plan lists both, through the tracker.
+	h.PlanComputed(5*ms, 0, &sched.PlanContext{
+		Now:     5 * ms,
+		Pending: []*sched.RequestState{stA, stB},
+		Tracked: map[workload.RequestID]*sched.RequestState{1: stA, 2: stB},
+	})
+	run := runFor(b, 6*ms, 9*ms)
+	h.RunStarted(6*ms, run)
+	h.RunAborted(7*ms, run, nil)
+	h.Requeued(7*ms, b.ID, control.RequeueFault)
+	// b is running elsewhere in the tracker's view, so this plan does not
+	// list it; the one after does.
+	stB.Running = true
+	h.PlanComputed(8*ms, 0, &sched.PlanContext{
+		Now:     8 * ms,
+		Pending: []*sched.RequestState{stA},
+		Tracked: map[workload.RequestID]*sched.RequestState{1: stA, 2: stB},
+	})
+	stB.Running = false
+	planConsidering(h, 10*ms, b)
+
+	want := map[string][]Span{
+		"a": {{Kind: SpanAdmission, StartUS: 1000, EndUS: 1000}, {Kind: SpanPlanWait, StartUS: 1000, EndUS: 2000},
+			{Kind: SpanQueue, StartUS: 2000, EndUS: 2000}},
+		"b": {{Kind: SpanAdmission, StartUS: 1000, EndUS: 1000}, {Kind: SpanPlanWait, StartUS: 1000, EndUS: 5000},
+			{Kind: SpanQueue, StartUS: 5000, EndUS: 6000}, {Kind: SpanCompute, StartUS: 6000, EndUS: 7000, Steps: 4, Degree: 2, GPUs: []int{0, 1}, Cause: "fault"},
+			{Kind: SpanRequeued, StartUS: 7000, EndUS: 7000, Cause: "fault"}, {Kind: SpanPlanWait, StartUS: 7000, EndUS: 10000},
+			{Kind: SpanQueue, StartUS: 10000, EndUS: 10000}},
+	}
+	for key, spans := range want {
+		tl, ok := rec.Lookup(key)
+		if !ok {
+			t.Fatalf("timeline %s missing", key)
+		}
+		if got, want := fmt.Sprintf("%+v", tl.Spans), fmt.Sprintf("%+v", spans); got != want {
+			t.Errorf("%s spans:\n got %s\nwant %s", key, got, want)
+		}
+	}
+}

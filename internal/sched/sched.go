@@ -160,10 +160,36 @@ type PlanContext struct {
 	Pending []*RequestState
 	// Running lists requests currently executing.
 	Running []*RequestState
+	// Tracked optionally maps every request the caller tracks, pending or
+	// running, to its state — the control loop passes its request tracker,
+	// which lives across rounds. A caller that sets it guarantees Pending
+	// holds exactly the tracked states that are not Running and have steps
+	// left; PendingState then answers from it in O(1) instead of scanning
+	// Pending. Read-only for schedulers and observers.
+	Tracked map[workload.RequestID]*RequestState
 	// Profile is the offline-profiled cost model.
 	Profile *costmodel.Profile
 	// Topo is the cluster topology.
 	Topo *simgpu.Topology
+}
+
+// PendingState returns the state of the request with the given ID if it is
+// in Pending. With Tracked set it costs one map read, whatever the queue
+// depth; hand-built contexts without it fall back to a scan of Pending.
+func (c *PlanContext) PendingState(id workload.RequestID) (*RequestState, bool) {
+	if c.Tracked != nil {
+		st, ok := c.Tracked[id]
+		if !ok || st.Running || st.Remaining <= 0 {
+			return nil, false
+		}
+		return st, true
+	}
+	for _, st := range c.Pending {
+		if st.Req.ID == id {
+			return st, true
+		}
+	}
+	return nil, false
 }
 
 // Scheduler decides GPU allocations.
@@ -193,28 +219,23 @@ func ValidatePlan(ctx *PlanContext, plan []Assignment) error {
 	return c.Validate(ctx, plan)
 }
 
-// PlanChecker is a reusable ValidatePlan: it keeps its lookup maps across
-// calls (cleared, not reallocated) so validating a plan on the control loop's
-// hot path allocates nothing once the maps have grown to the working-set
-// size. The zero value is ready to use; not safe for concurrent use.
+// PlanChecker is a reusable ValidatePlan: it keeps its claimed-request set
+// across calls (cleared, not reallocated) and resolves members through
+// PlanContext.PendingState, so validating a plan on the control loop's hot
+// path allocates nothing and costs the plan's size, not the queue's. The
+// zero value is ready to use; not safe for concurrent use.
 type PlanChecker struct {
-	pending map[workload.RequestID]*RequestState
 	claimed map[workload.RequestID]bool
 }
 
 // Validate performs the same checks as ValidatePlan.
 func (c *PlanChecker) Validate(ctx *PlanContext, plan []Assignment) error {
-	if c.pending == nil {
-		c.pending = make(map[workload.RequestID]*RequestState, len(ctx.Pending))
+	if c.claimed == nil {
 		c.claimed = make(map[workload.RequestID]bool)
 	} else {
-		clear(c.pending)
 		clear(c.claimed)
 	}
-	pending, claimed := c.pending, c.claimed
-	for _, st := range ctx.Pending {
-		pending[st.Req.ID] = st
-	}
+	claimed := c.claimed
 	used := simgpu.Mask(0)
 	for i := range plan {
 		a := &plan[i]
@@ -233,7 +254,7 @@ func (c *PlanChecker) Validate(ctx *PlanContext, plan []Assignment) error {
 		}
 		var firstRes *RequestState
 		for _, id := range a.Requests {
-			st, ok := pending[id]
+			st, ok := ctx.PendingState(id)
 			if !ok {
 				return fmt.Errorf("sched: assignment %d references unknown or running request %d", i, id)
 			}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -162,5 +163,73 @@ func TestValidatePlanCatchesMixedResolutionBatch(t *testing.T) {
 	plan := []Assignment{{Requests: []workload.RequestID{1, 2}, Group: simgpu.MaskOf(0), Steps: 2}}
 	if err := ValidatePlan(ctx, plan); err == nil || !strings.Contains(err.Error(), "mixes resolutions") {
 		t.Fatalf("mixed batch not caught: %v", err)
+	}
+}
+
+// tracked builds the loop-style index over a context: every pending state
+// plus the running ones, as the control loop's request tracker holds them.
+func tracked(ctx *PlanContext, running ...*RequestState) map[workload.RequestID]*RequestState {
+	m := map[workload.RequestID]*RequestState{}
+	for _, st := range ctx.Pending {
+		m[st.Req.ID] = st
+	}
+	for _, st := range running {
+		st.Running = true
+		m[st.Req.ID] = st
+	}
+	return m
+}
+
+// TestPendingStateTrackedMatchesScan: with the tracker set, PendingState
+// answers every ID (pending, running, unknown) exactly as a scan of Pending
+// does, so the validator's verdicts cannot depend on which path it took.
+func TestPendingStateTrackedMatchesScan(t *testing.T) {
+	a := mkState(1, model.Res512, 10, 0, 2*time.Second)
+	b := mkState(2, model.Res256, 3, 0, 2*time.Second)
+	run := mkState(3, model.Res512, 10, 0, 2*time.Second)
+	scan := mkCtx(0, simgpu.MaskRange(0, 4), a, b)
+	indexed := mkCtx(0, simgpu.MaskRange(0, 4), a, b)
+	indexed.Tracked = tracked(indexed, run)
+	for id := workload.RequestID(0); id <= 4; id++ {
+		s1, ok1 := scan.PendingState(id)
+		s2, ok2 := indexed.PendingState(id)
+		if s1 != s2 || ok1 != ok2 {
+			t.Fatalf("id %d: scan (%p,%v) != tracked (%p,%v)", id, s1, ok1, s2, ok2)
+		}
+	}
+	plans := [][]Assignment{
+		{{Requests: []workload.RequestID{1}, Group: simgpu.MaskOf(0), Steps: 1}},
+		{{Requests: []workload.RequestID{3}, Group: simgpu.MaskOf(0), Steps: 1}},
+		{{Requests: []workload.RequestID{1, 2}, Group: simgpu.MaskOf(0, 1), Steps: 2}},
+		{{Requests: []workload.RequestID{2}, Group: simgpu.MaskOf(0), Steps: 5}},
+		{{Requests: []workload.RequestID{2}, Group: simgpu.MaskOf(0), Steps: 1},
+			{Requests: []workload.RequestID{2}, Group: simgpu.MaskOf(1), Steps: 1}},
+	}
+	var c PlanChecker
+	for i, plan := range plans {
+		e1, e2 := fmt.Sprint(ValidatePlan(scan, plan)), fmt.Sprint(c.Validate(indexed, plan))
+		if e1 != e2 {
+			t.Fatalf("plan %d: scan says %q, tracked says %q", i, e1, e2)
+		}
+	}
+}
+
+// TestPlanCheckerAllocatesNothingOnDeepQueue: with the tracker set, validating a one-request
+// plan against a deep queue allocates nothing — the checker reads the
+// tracker instead of indexing the queue each round.
+func TestPlanCheckerAllocatesNothingOnDeepQueue(t *testing.T) {
+	var pending []*RequestState
+	for i := 0; i < 4096; i++ {
+		pending = append(pending, mkState(i, model.Res512, 10, 0, 2*time.Second))
+	}
+	ctx := mkCtx(0, simgpu.MaskRange(0, 8), pending...)
+	ctx.Tracked = tracked(ctx)
+	plan := []Assignment{{Requests: []workload.RequestID{4000}, Group: simgpu.MaskOf(0), Steps: 1}}
+	var c PlanChecker
+	if err := c.Validate(ctx, plan); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = c.Validate(ctx, plan) }); allocs != 0 {
+		t.Fatalf("Validate allocates %.0f times per call", allocs)
 	}
 }

@@ -71,9 +71,6 @@ type RoundLog struct {
 
 	// cur is the staged record (loop goroutine only, outside mu).
 	cur RoundRecord
-	// scratch maps pending request ids for O(1) decision lookup; cleared
-	// (not reallocated) every round.
-	scratch map[workload.RequestID]*sched.RequestState
 }
 
 // NewRoundLog builds a ring holding the last cap rounds (default 512).
@@ -81,10 +78,7 @@ func NewRoundLog(cap int) *RoundLog {
 	if cap <= 0 {
 		cap = 512
 	}
-	return &RoundLog{
-		ring:    make([]RoundRecord, 0, cap),
-		scratch: map[workload.RequestID]*sched.RequestState{},
-	}
+	return &RoundLog{ring: make([]RoundRecord, 0, cap)}
 }
 
 // OnPlanComputed stages a new record; the control loop fires it on every
@@ -100,19 +94,16 @@ func (l *RoundLog) OnPlanComputed(now, latency time.Duration, ctx *sched.PlanCon
 }
 
 // OnPlanned fills per-request decisions from a validated plan and commits
-// the staged record. ctx and plan alias scheduler scratch storage and are
-// only read synchronously.
+// the staged record; members resolve through ctx.PendingState, so a round
+// costs its plan, not its queue. ctx and plan alias scheduler scratch
+// storage and are only read synchronously.
 func (l *RoundLog) OnPlanned(now time.Duration, ctx *sched.PlanContext, plan []sched.Assignment) {
-	clear(l.scratch)
-	for _, st := range ctx.Pending {
-		l.scratch[st.Req.ID] = st
-	}
 	for i := range plan {
 		a := &plan[i]
 		degree := a.Group.Count()
 		batched := len(a.Requests) > 1
 		for _, id := range a.Requests {
-			st, ok := l.scratch[id]
+			st, ok := ctx.PendingState(id)
 			if !ok {
 				continue
 			}

@@ -18,6 +18,12 @@ var roundsProf = costmodel.BuildProfile(
 
 // fakeRound pushes one synthetic PlanComputed→Planned pair through the log.
 func fakeRound(l *RoundLog, now time.Duration, ids ...workload.RequestID) {
+	fakeRoundWith(l, now, nil, ids...)
+}
+
+// fakeRoundWith is fakeRound whose context also carries the loop's request
+// tracker: the listed pending states plus the given running ones.
+func fakeRoundWith(l *RoundLog, now time.Duration, running []*sched.RequestState, ids ...workload.RequestID) {
 	var pending []*sched.RequestState
 	var reqs []workload.RequestID
 	for _, id := range ids {
@@ -35,6 +41,14 @@ func fakeRound(l *RoundLog, now time.Duration, ids ...workload.RequestID) {
 		Free:    simgpu.MaskOf(0) | simgpu.MaskOf(1),
 		Pending: pending,
 		Profile: roundsProf,
+	}
+	if running != nil {
+		ctx.Tracked = map[workload.RequestID]*sched.RequestState{}
+		for _, st := range append(pending, running...) {
+			ctx.Tracked[st.Req.ID] = st
+		}
+		// A plan naming a running request gets no decision for it.
+		reqs = append(reqs, running[0].Req.ID)
 	}
 	l.OnPlanComputed(now, 42*time.Microsecond, ctx)
 	var plan []sched.Assignment
@@ -89,6 +103,22 @@ func TestRoundLogDecisions(t *testing.T) {
 		if d.Survives != (wantFinish <= 2*time.Second) {
 			t.Fatalf("survives = %v for finish %v", d.Survives, wantFinish)
 		}
+	}
+}
+
+// TestRoundLogDecisionsFromTracker: resolving plan members through the
+// loop's tracker yields the same record as scanning the pending snapshot,
+// and a member the tracker knows as running gets no decision.
+func TestRoundLogDecisionsFromTracker(t *testing.T) {
+	scan, tracked := NewRoundLog(8), NewRoundLog(8)
+	fakeRound(scan, time.Second, 1, 2)
+	running := &sched.RequestState{
+		Req:     &workload.Request{ID: 3, Res: model.Res512, Steps: 50, SLO: 2 * time.Second},
+		Running: true, Remaining: 20,
+	}
+	fakeRoundWith(tracked, time.Second, []*sched.RequestState{running}, 1, 2)
+	if got, want := fmt.Sprintf("%+v", tracked.Snapshot(0)), fmt.Sprintf("%+v", scan.Snapshot(0)); got != want {
+		t.Fatalf("tracker record:\n got %s\nwant %s", got, want)
 	}
 }
 
