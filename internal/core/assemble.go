@@ -56,9 +56,9 @@ func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*
 
 	// The placement arena must never reallocate once pointers are taken:
 	// each candidate is placed at most once (DP pass or work-conserving
-	// admission, never both) and the best-effort lane adds at most one
-	// block per late request.
-	if need := len(cands) + len(late); cap(sc.placed) < need {
+	// admission, never both) and the best-effort lane adds at most
+	// bestEffortGPUs blocks, one per GPU of its budget.
+	if need := len(cands) + bestEffortGPUs; cap(sc.placed) < need {
 		sc.placed = make([]placed, 0, need)
 	}
 	sc.placed = sc.placed[:0]
@@ -120,9 +120,6 @@ func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*
 	// --- Best-effort lane for definitely-late requests (§4.2.2): at most
 	// one GPU each, from leftovers only, scaled up later if GPUs idle. ---
 	if s.cfg.BestEffortLane {
-		slices.SortStableFunc(late, func(a, b *sched.RequestState) int {
-			return cmp.Compare(a.Deadline(), b.Deadline())
-		})
 		window := s.window()
 		// Budget the lane: already-running late blocks (multi-round SP=1
 		// blocks from earlier rounds) count against the cap so stragglers
@@ -133,14 +130,28 @@ func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*
 				budget--
 			}
 		}
-		if cap(sc.lateArena) < len(late) {
-			sc.lateArena = make([]candidate, 0, len(late))
+		if cap(sc.lateArena) < bestEffortGPUs {
+			sc.lateArena = make([]candidate, 0, bestEffortGPUs)
 		}
 		sc.lateArena = sc.lateArena[:0]
-		for _, st := range late {
+		// The lane serves late requests earliest deadline first, ties in
+		// pending order. It takes at most budget of them, so it selects
+		// them one at a time instead of sorting the whole late set: pick i
+		// is the first minimum of late[i:], rotated to position i so the
+		// rest keep pending order. The picks equal a stable sort's prefix.
+		for i := 0; i < len(late); i++ {
 			if budget <= 0 || free.Count() == 0 {
 				break
 			}
+			m, md := i, late[i].Deadline()
+			for j := i + 1; j < len(late); j++ {
+				if d := late[j].Deadline(); d < md {
+					m, md = j, d
+				}
+			}
+			st := late[m]
+			copy(late[i+1:m+1], late[i:m])
+			late[i] = st
 			budget--
 			g := sched.AlignedGroup(ctx.Topo, free, 1, st.LastGroup)
 			if g == 0 {

@@ -1,0 +1,157 @@
+package core
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+
+	"tetriserve/internal/model"
+	"tetriserve/internal/sched"
+	"tetriserve/internal/simgpu"
+	"tetriserve/internal/stats"
+	"tetriserve/internal/workload"
+)
+
+// lateBacklogCtx is a seeded round shaped like a deep overloaded queue: depth
+// requests of the Uniform mix arriving at 60/min, none started, planned at
+// the last arrival on an idle 8-GPU cluster, so all but the newest few are
+// definitely late.
+func lateBacklogCtx(depth int) *sched.PlanContext {
+	reqs := workload.Generate(workload.GeneratorConfig{
+		Model:       model.FLUX(),
+		Mix:         workload.UniformMix(),
+		Arrivals:    workload.PoissonArrivals{PerMinute: 60},
+		NumRequests: depth,
+		Seed:        1,
+	})
+	pending := make([]*sched.RequestState, len(reqs))
+	for i, r := range reqs {
+		pending[i] = &sched.RequestState{Req: r, Remaining: r.Steps}
+	}
+	return mkCtx(reqs[len(reqs)-1].Arrival, testTopo.AllMask(), pending...)
+}
+
+// TestLateLaneMatchesStableSortPrefix: the best-effort lane's picks, in
+// order, are the prefix of the late set stable-sorted by deadline — ties go
+// to pending order — for every lane budget and free-GPU count.
+func TestLateLaneMatchesStableSortPrefix(t *testing.T) {
+	rng := stats.NewRNG(33)
+	resList := model.StandardResolutions()
+	now := 100 * time.Second
+	for trial := 0; trial < 400; trial++ {
+		s := newTestScheduler(t)
+		// Deadlines come from four values shared across resolutions, so
+		// most picks are decided by a tie.
+		n := rng.Intn(40)
+		pending := make([]*sched.RequestState, 0, n)
+		for i := 0; i < n; i++ {
+			arrival := time.Duration(i) * time.Millisecond
+			deadline := time.Duration(1+rng.Intn(4)) * time.Second
+			pending = append(pending, mkState(i+1, resList[rng.Intn(len(resList))],
+				1+rng.Intn(50), arrival, deadline-arrival))
+		}
+		// Already-running late blocks take the lane budget from 2 down to 0.
+		running := make([]*sched.RequestState, rng.Intn(4))
+		for i := range running {
+			running[i] = mkState(1000+i, resList[rng.Intn(len(resList))], 10, 0, time.Second)
+		}
+		// 0..8 free GPUs, at random positions.
+		gpus := []simgpu.GPUID{0, 1, 2, 3, 4, 5, 6, 7}
+		rng.Shuffle(len(gpus), func(i, j int) { gpus[i], gpus[j] = gpus[j], gpus[i] })
+		free := simgpu.MaskOf(gpus[:trial%9]...)
+
+		ctx := mkCtx(now, free, pending...)
+		ctx.Running = running
+		var got []workload.RequestID
+		for _, a := range s.Plan(ctx) {
+			if a.BestEffort {
+				got = append(got, a.Requests[0])
+			}
+		}
+
+		ref := slices.Clone(pending)
+		slices.SortStableFunc(ref, func(a, b *sched.RequestState) int {
+			return cmp.Compare(a.Deadline(), b.Deadline())
+		})
+		picks := min(max(bestEffortGPUs-len(running), 0), free.Count(), len(ref))
+		want := make([]workload.RequestID, picks)
+		for i := range want {
+			want[i] = ref[i].Req.ID
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d late, %d running, %d free): lane picked %v, stable sort gives %v",
+				trial, n, len(running), free.Count(), got, want)
+		}
+	}
+}
+
+// TestDefinitelyLateCacheOffMatchesRescueProjection: with caching off the
+// planner skips the cache-rescue projection for plain-late requests; the
+// short-circuited answer must equal the full projection's.
+func TestDefinitelyLateCacheOffMatchesRescueProjection(t *testing.T) {
+	rng := stats.NewRNG(34)
+	resList := model.StandardResolutions()
+	s := newTestScheduler(t)
+	late, onTime := 0, 0
+	for i := 0; i < 4000; i++ {
+		res := resList[rng.Intn(len(resList))]
+		tmin, _ := testProf.MinStepTime(res)
+		steps := 1 + rng.Intn(200)
+		st := mkState(i+1, res, 1+rng.Intn(steps), 0, 0)
+		st.Req.Steps = steps
+		st.Req.QualityBudget = rng.Intn(steps + 1)
+		st.QualityUsed = rng.Intn(st.Req.QualityBudget + 1)
+		now := time.Duration(rng.Intn(10_000)) * time.Millisecond
+		// The deadline lands within a round of the plain bound, margin
+		// cases included.
+		bound := now + time.Duration(st.Remaining)*tmin
+		st.Req.SLO = bound - s.tau + time.Duration(rng.Intn(int(2*s.tau)))
+
+		done := st.Req.Steps - st.Req.SkippedSteps - st.Remaining
+		want := bound > st.Deadline() &&
+			!s.cacheFeasibleAt(testProf, st, now, st.Remaining, done, st.Req.QualityBudget-st.QualityUsed)
+		if got := s.definitelyLate(testProf, st, now); got != want {
+			t.Fatalf("state %d: definitelyLate = %v, rescue projection says %v", i, got, want)
+		}
+		if want {
+			late++
+		} else {
+			onTime++
+		}
+	}
+	if late == 0 || onTime == 0 {
+		t.Fatalf("sample not mixed: %d late, %d on time", late, onTime)
+	}
+
+	// With caching on, the projection still runs: a state late at plain
+	// service but rescuable at interval 4 is relieved only there.
+	st := mkState(1, model.Res1024, 1, 0, 0)
+	reshapeRescue(st, 4)
+	if !s.definitelyLate(testProf, st, 0) {
+		t.Fatal("cache off: a plain-late state is not definitely late")
+	}
+	cached := newTestScheduler(t, func(c *Config) { c.MaxCacheInterval = 4 })
+	if cached.definitelyLate(testProf, st, 0) {
+		t.Fatal("cache on: a rescuable state is definitely late; the projection was skipped")
+	}
+}
+
+// BenchmarkPlanLateBacklog times one Plan over a deep, mostly definitely
+// late queue: the partition, the best-effort lane and the DP over the few
+// active requests.
+func BenchmarkPlanLateBacklog(b *testing.B) {
+	for _, depth := range []int{64, 672, 4096} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			s := NewScheduler(testProf, testTopo, DefaultConfig())
+			ctx := lateBacklogCtx(depth)
+			s.Plan(ctx)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Plan(ctx)
+			}
+		})
+	}
+}

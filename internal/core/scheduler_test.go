@@ -462,6 +462,28 @@ func TestPlanZeroAllocSteadyState(t *testing.T) {
 			t.Fatalf("cache-enabled Plan allocates %.1f times per call, want 0", avg)
 		}
 	})
+
+	// A deep queue that is mostly definitely late: the lane's scratch is
+	// bounded by its GPU cap, not by the late set.
+	t.Run("late-backlog", func(t *testing.T) {
+		s := newTestScheduler(t)
+		ctx := lateBacklogCtx(1024)
+		s.Plan(ctx)
+		s.Plan(ctx)
+		sc := &s.scratch
+		if 4*len(sc.late) < 3*len(ctx.Pending) {
+			t.Fatalf("only %d of %d pending definitely late", len(sc.late), len(ctx.Pending))
+		}
+		if avg := testing.AllocsPerRun(20, func() { s.Plan(ctx) }); avg != 0 {
+			t.Fatalf("late-backlog Plan allocates %.1f times per call, want 0", avg)
+		}
+		if cap(sc.lateArena) > bestEffortGPUs {
+			t.Fatalf("cap(lateArena) = %d, want ≤ %d", cap(sc.lateArena), bestEffortGPUs)
+		}
+		if limit := len(sc.cands) + bestEffortGPUs; cap(sc.placed) > limit {
+			t.Fatalf("cap(placed) = %d, want ≤ len(cands)+%d = %d", cap(sc.placed), bestEffortGPUs, limit)
+		}
+	})
 }
 
 // reshapeRescue makes st deadline-infeasible at interval 1 but rescuable at

@@ -51,8 +51,10 @@ type planScratch struct {
 	memoVersion uint64
 	// resMemo memoizes the per-resolution derivations (see resMemo) on the
 	// memo epoch: reset only when the profile identity/version moves. The
-	// planner asks for one twice per pending request per round (late
-	// partition + candidate survival bounds); a profile holds a handful of
+	// planner asks for one once per pending request per round (late
+	// partition), once more per active request (candidate survival bounds),
+	// once per running request (lane budget) and once per allocation-memo
+	// miss; a profile holds a handful of
 	// resolutions, so a short scan finds the entry without hashing a key.
 	resMemo []resMemo
 
@@ -147,10 +149,19 @@ func (s *Scheduler) degCfgs(prof *costmodel.Profile, res model.Resolution) []deg
 // if it misses its deadline even after spending its whole remaining quality
 // budget at the maximum cache interval — the cache dimension turns some
 // would-be drops back into packable candidates.
+//
+// With caching off (MaxCacheInterval ≤ 1) the projection cannot rescue
+// anything, so it is skipped. cacheFeasibleAt then has a = 0 approximated
+// steps, so its γ term is 0·γ·tmin = 0 for any γ in (0, 1], and it checks
+// now + Remaining·tmin + τ/4 ≤ deadline. The margin τ/4 is ≥ 0, so that
+// holds only if the plain check above holds, and it failed.
 func (s *Scheduler) definitelyLate(prof *costmodel.Profile, st *sched.RequestState, now time.Duration) bool {
 	tmin := s.minStep(prof, st.Req.Res)
 	if now+time.Duration(st.Remaining)*tmin <= st.Deadline() {
 		return false
+	}
+	if s.cfg.MaxCacheInterval <= 1 {
+		return true
 	}
 	// Same projection (and margin) as the rescue gate in addCachedOptions: a
 	// request is only kept alive for the cache dimension when a rescue could

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 
@@ -103,16 +104,17 @@ func (r *Recorder) Hooks() control.Hooks {
 }
 
 // Lookup returns a deep copy of a timeline by trace ID or by decimal
-// request ID, active or finalized.
+// request ID, active or finalized. A decimal key must be the whole key:
+// "12abc", " 12", "+12" and "0x1f" name no request.
 func (r *Recorder) Lookup(key string) (*Timeline, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if tl, ok := r.byTrace[key]; ok {
 		return tl.Clone(), true
 	}
-	var id workload.RequestID
-	if _, err := fmt.Sscanf(key, "%d", &id); err == nil {
-		if tl, ok := r.byID[id]; ok {
+	// Atoi accepts a leading '+', which no request ID is written with.
+	if id, err := strconv.Atoi(key); err == nil && key[0] != '+' {
+		if tl, ok := r.byID[workload.RequestID(id)]; ok {
 			return tl.Clone(), true
 		}
 	}

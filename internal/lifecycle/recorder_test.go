@@ -110,6 +110,13 @@ func TestHappyPathTimeline(t *testing.T) {
 	if !ok || byID.TraceID != "t-1" {
 		t.Fatalf("lookup by id: ok=%v trace=%q", ok, byID.TraceID)
 	}
+	// A decimal key must be the whole key: leftover input, whitespace, a
+	// sign or another base names no request.
+	for _, key := range []string{"7abc", " 7", "7 ", "+7", "0x7", "", "7.0"} {
+		if _, ok := rec.Lookup(key); ok {
+			t.Errorf("Lookup(%q) resolved a timeline, want not found", key)
+		}
+	}
 }
 
 // TestZeroLengthWaitsPruned checks that a request scheduled at the same

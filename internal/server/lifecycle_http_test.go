@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -241,6 +242,23 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	}
 	if tl.Tenant != "ext" {
 		t.Fatalf("timeline tenant %q, want ext", tl.Tenant)
+	}
+
+	// The decimal job id resolves the same timeline; a malformed id that
+	// merely starts with it does not.
+	id := strconv.Itoa(int(job.ID))
+	if byID, code := getTimeline(t, shardSrv.URL+"/v1/requests/"+id); code != http.StatusOK || byID.TraceID != "t-external-7" {
+		t.Fatalf("timeline by job id %s: code=%d", id, code)
+	}
+	for _, key := range []string{id + "abc", "%20" + id, "+" + id} {
+		resp, err := http.Get(shardSrv.URL + "/v1/requests/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /v1/requests/%s → %d, want 404", key, resp.StatusCode)
+		}
 	}
 }
 
