@@ -27,8 +27,8 @@ import (
 )
 
 // Config selects TetriServe's mechanisms. Start from DefaultConfig (the
-// paper's set); NewScheduler fills only a zero StepGranularity,
-// MaxCacheInterval or WallClock.
+// paper's set); NewScheduler fills only a zero StepGranularity or
+// MaxCacheInterval.
 type Config struct {
 	// StepGranularity is how many reference steps one round holds (§6.4,
 	// Figure 15). The reference step is the fastest step of the most
@@ -68,10 +68,6 @@ type Config struct {
 	// sched.CacheProtectedSteps steps. Default 1 (caching off — planning is
 	// bit-identical to the cache-oblivious scheduler).
 	MaxCacheInterval int
-	// WallClock supplies the time source for the plan-latency diagnostic
-	// (Table 6). Defaults to time.Now; deterministic harnesses inject a
-	// fake clock so a Plan call never reads the wall.
-	WallClock func() time.Time
 }
 
 // DefaultConfig returns the paper's default mechanism set.
@@ -117,9 +113,6 @@ func (c *Config) normalize() {
 	if c.MaxCacheInterval > MaxCacheIntervalCap {
 		c.MaxCacheInterval = MaxCacheIntervalCap
 	}
-	if c.WallClock == nil {
-		c.WallClock = time.Now
-	}
 }
 
 // Scheduler is TetriServe's round-based scheduler. It implements
@@ -141,9 +134,7 @@ type Scheduler struct {
 	scratch planScratch
 
 	// Diagnostics exported for experiments.
-	roundsPlanned     int
 	placementFailures int
-	lastPlanLatency   time.Duration
 	dpRows            int
 }
 
@@ -218,16 +209,9 @@ func (s *Scheduler) EagerAdmission() bool { return s.cfg.EagerAdmission }
 // cache-assisted service times without depending on the concrete type.
 func (s *Scheduler) MaxCacheInterval() int { return s.cfg.MaxCacheInterval }
 
-// Rounds returns how many rounds have been planned (diagnostics).
-func (s *Scheduler) Rounds() int { return s.roundsPlanned }
-
 // PlacementFailures counts DP selections that could not be mapped onto
 // aligned free groups (diagnostics; should stay near zero).
 func (s *Scheduler) PlacementFailures() int { return s.placementFailures }
-
-// LastPlanLatency reports wall-clock time of the most recent Plan call —
-// the control-plane latency Table 6 compares against exhaustive search.
-func (s *Scheduler) LastPlanLatency() time.Duration { return s.lastPlanLatency }
 
 // Warm returns the DP work counters (see WarmStats for the name). They move
 // only inside Plan, so two loops with equal counters planned equally often
@@ -245,12 +229,6 @@ func (s *Scheduler) window() time.Duration { return s.tau - schedOverhead }
 // only until the next Plan call; callers that retain assignments across
 // rounds must copy them (the engine does).
 func (s *Scheduler) Plan(ctx *sched.PlanContext) []sched.Assignment {
-	started := s.cfg.WallClock()
-	defer func() {
-		s.lastPlanLatency = s.cfg.WallClock().Sub(started)
-		s.roundsPlanned++
-	}()
-
 	tNext := ctx.Now + s.tau
 	s.beginPlan(ctx.Profile)
 	sc := &s.scratch

@@ -318,8 +318,9 @@ func TestPlanLatencyIsMilliseconds(t *testing.T) {
 		pending = append(pending, mkState(i, resList[i%4], 50, 0, 5*time.Second))
 	}
 	ctx := mkCtx(0, testTopo.AllMask(), pending...)
+	started := time.Now()
 	s.Plan(ctx)
-	if got := s.LastPlanLatency(); got > 10*time.Millisecond {
+	if got := time.Since(started); got > 10*time.Millisecond {
 		t.Fatalf("plan latency %v exceeds the paper's 10ms claim for a 64-deep queue", got)
 	}
 }
@@ -338,18 +339,11 @@ func TestSchedulerInterfaceMetadata(t *testing.T) {
 	if !s.EagerAdmission() {
 		t.Fatal("eager admission should default on")
 	}
-	if s.Rounds() == 0 {
-		// Plan once to bump the counter.
-		s.Plan(mkCtx(0, testTopo.AllMask(), mkState(1, model.Res256, 5, 0, time.Second)))
-		if s.Rounds() != 1 {
-			t.Fatal("round counter not incremented")
-		}
-	}
 }
 
 func TestConfigNormalization(t *testing.T) {
 	s := NewScheduler(testProf, testTopo, Config{})
-	if s.cfg.StepGranularity != 5 || s.cfg.MaxCacheInterval != 1 || s.cfg.WallClock == nil {
+	if s.cfg.StepGranularity != 5 || s.cfg.MaxCacheInterval != 1 {
 		t.Fatalf("zero config not normalized: %+v", s.cfg)
 	}
 	_ = workload.RequestID(0)

@@ -45,9 +45,6 @@ func fuzzProfile(n int) (*costmodel.Profile, *simgpu.Topology) {
 	return p, topo
 }
 
-// frozenWall pins the planner's latency diagnostic off the wall clock.
-func frozenWall() time.Time { return time.Unix(0, 0) }
-
 // randGroup returns a random legal (power-of-two, aligned) group within the
 // n-GPU node, or 0.
 func randGroup(rng *stats.RNG, n int) simgpu.Mask {
@@ -118,7 +115,6 @@ func FuzzPlanRound(f *testing.F) {
 		cfg.ElasticScaleUp = flags&2 != 0
 		cfg.SelectiveBatching = flags&4 != 0
 		cfg.BestEffortLane = flags&8 != 0
-		cfg.WallClock = frozenWall
 
 		newCtx := func() *sched.PlanContext {
 			return fuzzPlanContext(stats.NewRNG(seed), prof, topo, nReq)
@@ -162,7 +158,6 @@ func planReuseEquivalence(t *testing.T, seed uint64, nGPUSel, nReqSel, flags uin
 	cfg.ElasticScaleUp = flags&2 != 0
 	cfg.SelectiveBatching = flags&4 != 0
 	cfg.BestEffortLane = flags&8 != 0
-	cfg.WallClock = frozenWall
 	reused := core.NewScheduler(prof, topo, cfg)
 
 	ctx := fuzzPlanContext(stats.NewRNG(seed), prof, topo, nReq)
@@ -271,9 +266,7 @@ func fuzzSimConfig(seed uint64, nReqSel, schedPick, faultPick, rateSel uint8) si
 	var sc sched.Scheduler
 	switch schedPick % 5 {
 	case 0:
-		cfg := core.DefaultConfig()
-		cfg.WallClock = frozenWall
-		sc = core.NewScheduler(prof, topo, cfg)
+		sc = core.NewScheduler(prof, topo, core.DefaultConfig())
 	case 1:
 		sc = sched.NewFixedSP(2)
 	case 2:
@@ -390,7 +383,6 @@ func fuzzCacheSimConfig(seed uint64, nReqSel, faultPick, rateSel, cacheSel, budg
 	rate := 6 + float64(rateSel%8)*8
 
 	cfg := core.DefaultConfig()
-	cfg.WallClock = frozenWall
 	cfg.MaxCacheInterval = 2 + int(cacheSel)%7 // 2..8
 
 	var faults []simgpu.Fault

@@ -20,7 +20,6 @@ func metamorphicConfig(seed uint64, maxInterval int, budgets bool) sim.Config {
 	mdl := model.FLUX()
 
 	cfg := core.DefaultConfig()
-	cfg.WallClock = frozenWall
 	if maxInterval > 0 {
 		cfg.MaxCacheInterval = maxInterval
 	}

@@ -2,15 +2,19 @@ package lifecycle
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
+	"math/bits"
+	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"tetriserve/internal/control"
 	"tetriserve/internal/engine"
+	"tetriserve/internal/model"
 	"tetriserve/internal/sched"
+	"tetriserve/internal/simgpu"
 	"tetriserve/internal/workload"
 )
 
@@ -25,11 +29,14 @@ type Config struct {
 	// Sink, when set, receives every finalized timeline as one JSON line —
 	// the simulator's bounded-memory span log (timelines stream out instead
 	// of accumulating). Writes happen on the loop goroutine under the
-	// recorder lock; give it a buffered writer.
+	// recorder lock; give it a buffered writer. As io.Writer requires, it
+	// must not retain the bytes it is handed: the encoder reuses them.
 	Sink io.Writer
 	// OnFinalized observes finalized timelines synchronously (the telemetry
 	// plane's phase-histogram and SLO-attainment feed). The callback must
-	// not retain the timeline.
+	// neither retain nor modify the timeline or anything it points to: the
+	// recorder renders every finalized timeline into the same value, and
+	// its GPU lists are shared.
 	OnFinalized func(*Timeline)
 }
 
@@ -38,53 +45,141 @@ type Config struct {
 // any goroutine (everything is guarded by one mutex — the hook path takes
 // it briefly per transition, never blocking on I/O except the optional
 // sink write at finalization).
+//
+// A timeline is kept as a record: the Timeline header plus spans in a
+// compact form without pointers, so that a retained timeline is one small
+// object for the collector to scan and a span takes about half a Span's
+// bytes. Lookup, the sink and OnFinalized see it rendered as a Timeline.
 type Recorder struct {
 	mu  sync.Mutex
 	cfg Config
+	enc *json.Encoder // writes to cfg.Sink; nil without one
+	out Timeline      // render's output: Lookup clones it, sink and OnFinalized read it
 
-	active  map[workload.RequestID]*Timeline
-	byTrace map[string]*Timeline
-	byID    map[workload.RequestID]*Timeline
+	// byID holds every active record and every finalized one the ring
+	// retains; a record is active until it is Done.
+	byTrace map[string]*record
+	byID    map[workload.RequestID]*record
 
-	// waiting holds timelines that opened a plan-wait span no plan has
+	// waiting holds records that opened a plan-wait span no plan has
 	// considered yet. onPlanComputed resolves each through
 	// ctx.PendingState, so a round costs the requests that (re)joined the
 	// queue since the last plan, not the queue.
-	waiting []*Timeline
+	waiting []*record
 
-	// final is a ring of finalized timelines; ringAt is the next overwrite
+	// final is a ring of finalized records; ringAt is the next overwrite
 	// position once the ring is full.
-	final  []*Timeline
+	final  []*record
 	ringAt int
+
+	// spare holds records the ring evicted, for the next admissions to
+	// reuse (span array included).
+	spare []*record
+
+	// classes, causes and gpus memoize the strings and GPU lists timelines
+	// share: one class name per resolution, the cause strings span.cause
+	// indexes, one GPU list per group mask.
+	classes []classMemo
+	causes  []string
+	gpus    map[simgpu.Mask][]int
 
 	finalized int
 	sinkErr   error
 
-	tenants map[string]*tenantAgg
-	phases  map[string]*phaseAgg
+	// tenants and phases are sorted by name.
+	tenants []tenantAgg
+	phases  []phaseAgg
 }
 
-type tenantAgg struct{ met, done int }
+// record is one request's timeline as the recorder keeps it.
+type record struct {
+	tl      Timeline // the header; tl.Spans stays nil
+	spans   []span
+	open    int  // index of the open span, -1 when none
+	waiting bool // the waiting list may hold the record
+}
+
+// span is a Span in compact form: kind indexes kindNames, cause indexes
+// Recorder.causes, and gpus is the group mask.
+type span struct {
+	start, end            int64
+	gpus                  simgpu.Mask
+	steps, elided, degree int
+	kind                  kindCode
+	cause                 uint16
+	batched               bool
+}
+
+// kindCode is a SpanKind's index in kindNames.
+type kindCode uint8
+
+const (
+	kindAdmission kindCode = iota
+	kindPlanWait
+	kindQueue
+	kindCompute
+	kindPreempted
+	kindRequeued
+	kindFinish
+	kindDrop
+)
+
+var kindNames = [...]SpanKind{
+	kindAdmission: SpanAdmission,
+	kindPlanWait:  SpanPlanWait,
+	kindQueue:     SpanQueue,
+	kindCompute:   SpanCompute,
+	kindPreempted: SpanPreempted,
+	kindRequeued:  SpanRequeued,
+	kindFinish:    SpanFinish,
+	kindDrop:      SpanDrop,
+}
+
+// zeroWait reports a plan-wait or queue span of zero length, which no
+// finalized timeline keeps.
+func (s *span) zeroWait() bool {
+	return (s.kind == kindPlanWait || s.kind == kindQueue) && s.start == s.end
+}
+
+type classMemo struct {
+	res  model.Resolution
+	name string
+}
+
+type tenantAgg struct {
+	name      string
+	met, done int
+}
 
 type phaseAgg struct {
+	class                    string
 	planWait, queue, compute float64
 	count                    int
 }
+
+// typicalSpans sizes a fresh record's span array. Admission, plan-wait,
+// compute and finish make five; every further round adds a compute segment
+// and the plan-wait before it. Sixteen spans hold nine in ten timelines of a
+// 2-GPU shard at its SLO-meeting load.
+const typicalSpans = 16
 
 // NewRecorder builds a recorder.
 func NewRecorder(cfg Config) *Recorder {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 4096
 	}
-	return &Recorder{
+	r := &Recorder{
 		cfg:     cfg,
-		active:  map[workload.RequestID]*Timeline{},
-		byTrace: map[string]*Timeline{},
-		byID:    map[workload.RequestID]*Timeline{},
-		final:   make([]*Timeline, 0, min(cfg.Capacity, 256)),
-		tenants: map[string]*tenantAgg{},
-		phases:  map[string]*phaseAgg{},
+		byTrace: map[string]*record{},
+		byID:    map[workload.RequestID]*record{},
+		final:   make([]*record, 0, min(cfg.Capacity, 256)),
+		causes:  []string{""},
+		gpus:    map[simgpu.Mask][]int{},
 	}
+	if cfg.Sink != nil {
+		r.enc = json.NewEncoder(cfg.Sink)
+	}
+	return r
 }
 
 // Hooks returns the control-loop attachment; compose with Hooks.Then.
@@ -109,13 +204,13 @@ func (r *Recorder) Hooks() control.Hooks {
 func (r *Recorder) Lookup(key string) (*Timeline, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if tl, ok := r.byTrace[key]; ok {
-		return tl.Clone(), true
+	if rec, ok := r.byTrace[key]; ok {
+		return r.render(rec).Clone(), true
 	}
 	// Atoi accepts a leading '+', which no request ID is written with.
 	if id, err := strconv.Atoi(key); err == nil && key[0] != '+' {
-		if tl, ok := r.byID[workload.RequestID(id)]; ok {
-			return tl.Clone(), true
+		if rec, ok := r.byID[workload.RequestID(id)]; ok {
+			return r.render(rec).Clone(), true
 		}
 	}
 	return nil, false
@@ -125,10 +220,27 @@ func (r *Recorder) Lookup(key string) (*Timeline, bool) {
 func (r *Recorder) LookupID(id workload.RequestID) (*Timeline, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if tl, ok := r.byID[id]; ok {
-		return tl.Clone(), true
+	if rec, ok := r.byID[id]; ok {
+		return r.render(rec).Clone(), true
 	}
 	return nil, false
+}
+
+// render writes rec into r.out as a Timeline, reusing r.out's span array.
+// Its GPU lists are the recorder's shared ones. Caller holds r.mu.
+func (r *Recorder) render(rec *record) *Timeline {
+	spans := r.out.Spans[:0]
+	r.out = rec.tl
+	for i := range rec.spans {
+		s := &rec.spans[i]
+		spans = append(spans, Span{
+			Kind: kindNames[s.kind], StartUS: s.start, EndUS: s.end,
+			Steps: s.steps, ElidedSteps: s.elided, Degree: s.degree,
+			GPUs: r.gpuList(s.gpus), Batched: s.batched, Cause: r.causes[s.cause],
+		})
+	}
+	r.out.Spans = spans
+	return &r.out
 }
 
 // Finalized reports how many timelines have been finalized (including any
@@ -169,15 +281,11 @@ type ClassPhases struct {
 func (r *Recorder) Attainment() []TenantAttainment {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]TenantAttainment, 0, len(r.tenants))
-	for name, a := range r.tenants {
-		t := TenantAttainment{Tenant: name, Finished: a.done, Met: a.met}
-		if a.done > 0 {
-			t.Rate = float64(a.met) / float64(a.done)
-		}
-		out = append(out, t)
+	out := make([]TenantAttainment, len(r.tenants))
+	for i, a := range r.tenants {
+		out[i] = TenantAttainment{Tenant: a.name, Finished: a.done, Met: a.met,
+			Rate: float64(a.met) / float64(a.done)}
 	}
-	sortBy(out, func(a, b TenantAttainment) bool { return a.Tenant < b.Tenant })
 	return out
 }
 
@@ -185,99 +293,178 @@ func (r *Recorder) Attainment() []TenantAttainment {
 func (r *Recorder) Phases() []ClassPhases {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]ClassPhases, 0, len(r.phases))
-	for class, a := range r.phases {
-		out = append(out, ClassPhases{
-			Class: class, Requests: a.count,
+	out := make([]ClassPhases, len(r.phases))
+	for i, a := range r.phases {
+		out[i] = ClassPhases{
+			Class: a.class, Requests: a.count,
 			PlanWaitS: a.planWait, QueueS: a.queue, ComputeS: a.compute,
-		})
+		}
 	}
-	sortBy(out, func(a, b ClassPhases) bool { return a.Class < b.Class })
 	return out
 }
 
-func sortBy[T any](s []T, less func(a, b T) bool) {
-	// Insertion sort: these slices are tiny (tenants, resolution classes).
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+// tenant returns the tenant's aggregate, inserted in name order if new.
+func (r *Recorder) tenant(name string) *tenantAgg {
+	i := sort.Search(len(r.tenants), func(i int) bool { return r.tenants[i].name >= name })
+	if i == len(r.tenants) || r.tenants[i].name != name {
+		r.tenants = slices.Insert(r.tenants, i, tenantAgg{name: name})
 	}
+	return &r.tenants[i]
+}
+
+// phase returns the class's aggregate, inserted in name order if new.
+func (r *Recorder) phase(class string) *phaseAgg {
+	i := sort.Search(len(r.phases), func(i int) bool { return r.phases[i].class >= class })
+	if i == len(r.phases) || r.phases[i].class != class {
+		r.phases = slices.Insert(r.phases, i, phaseAgg{class: class})
+	}
+	return &r.phases[i]
 }
 
 func us(d time.Duration) int64 { return d.Microseconds() }
+
+// active returns the record of a request admitted and not yet finalized.
+func (r *Recorder) active(id workload.RequestID) *record {
+	if rec := r.byID[id]; rec != nil && !rec.tl.Done {
+		return rec
+	}
+	return nil
+}
+
+// class returns the memoized class name of a resolution.
+func (r *Recorder) class(res model.Resolution) string {
+	for _, c := range r.classes {
+		if c.res == res {
+			return c.name
+		}
+	}
+	name := res.String()
+	r.classes = append(r.classes, classMemo{res: res, name: name})
+	return name
+}
+
+// cause returns the index of a cause string in r.causes.
+func (r *Recorder) cause(c string) uint16 {
+	for i, known := range r.causes {
+		if known == c {
+			return uint16(i)
+		}
+	}
+	r.causes = append(r.causes, c)
+	return uint16(len(r.causes) - 1)
+}
+
+// gpuList returns the memoized ascending GPU list of a group mask, nil for
+// none. Rendered spans share it; Clone copies it.
+func (r *Recorder) gpuList(m simgpu.Mask) []int {
+	if m == 0 {
+		return nil
+	}
+	if ids, ok := r.gpus[m]; ok {
+		return ids
+	}
+	ids := make([]int, 0, m.Count())
+	for v := uint64(m); v != 0; v &= v - 1 {
+		ids = append(ids, bits.TrailingZeros64(v))
+	}
+	r.gpus[m] = ids
+	return ids
+}
 
 func (r *Recorder) onAdmitted(now time.Duration, req *workload.Request) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	trace := req.TraceID
 	if trace == "" {
-		trace = fmt.Sprintf("req-%d", req.ID)
+		trace = "req-" + strconv.Itoa(int(req.ID))
 	}
-	tl := &Timeline{
+	var rec *record
+	if n := len(r.spare); n > 0 {
+		rec = r.spare[n-1]
+		r.spare[n-1] = nil
+		r.spare = r.spare[:n-1]
+		rec.spans = rec.spans[:0]
+	} else {
+		rec = &record{spans: make([]span, 0, typicalSpans)}
+	}
+	rec.tl = Timeline{
 		TraceID:    trace,
 		ID:         int(req.ID),
 		Tenant:     req.Tenant,
-		Class:      req.Res.String(),
+		Class:      r.class(req.Res),
 		Shard:      r.cfg.Shard,
 		SLOUS:      us(req.SLO),
 		ArrivalUS:  us(now),
 		DeadlineUS: us(req.Deadline()),
-		open:       -1,
 	}
-	tl.Spans = append(tl.Spans, Span{Kind: SpanAdmission, StartUS: us(now), EndUS: us(now)})
-	r.openPlanWait(tl, now)
-	r.active[req.ID] = tl
-	r.byTrace[trace] = tl
-	r.byID[req.ID] = tl
+	rec.open = -1
+	appendSpan(rec, kindAdmission, now)
+	r.openPlanWait(rec, now)
+	r.byTrace[trace] = rec
+	r.byID[req.ID] = rec
 }
 
-func (r *Recorder) openSpan(tl *Timeline, kind SpanKind, at time.Duration) *Span {
-	tl.Spans = append(tl.Spans, Span{Kind: kind, StartUS: us(at), EndUS: us(at)})
-	tl.open = len(tl.Spans) - 1
-	return &tl.Spans[tl.open]
+// appendSpan appends a span of kind k that starts and ends at `at`.
+func appendSpan(rec *record, k kindCode, at time.Duration) *span {
+	rec.spans = append(rec.spans, span{kind: k, start: us(at), end: us(at)})
+	return &rec.spans[len(rec.spans)-1]
 }
 
-// openPlanWait opens a plan-wait span and queues the timeline for the next
+func (r *Recorder) openSpan(rec *record, k kindCode, at time.Duration) *span {
+	sp := appendSpan(rec, k, at)
+	rec.open = len(rec.spans) - 1
+	return sp
+}
+
+// openPlanWait opens a plan-wait span and queues the record for the next
 // plan's queue transition.
-func (r *Recorder) openPlanWait(tl *Timeline, at time.Duration) {
-	r.openSpan(tl, SpanPlanWait, at)
-	r.waiting = append(r.waiting, tl)
+func (r *Recorder) openPlanWait(rec *record, at time.Duration) {
+	r.openSpan(rec, kindPlanWait, at)
+	r.waiting = append(r.waiting, rec)
+	rec.waiting = true
 }
 
-func (r *Recorder) closeSpan(tl *Timeline, at time.Duration) {
-	if tl.open < 0 {
+// closeSpan ends the open span at `at`. A wait that ends where it began is
+// removed on the spot when it is the last span: finalize would prune it
+// anyway, and a round that dispatches a request the instant a plan
+// considers it leaves two of them.
+func (r *Recorder) closeSpan(rec *record, at time.Duration) {
+	if rec.open < 0 {
 		return
 	}
-	tl.Spans[tl.open].EndUS = us(at)
-	tl.open = -1
+	rec.spans[rec.open].end = us(at)
+	if rec.open == len(rec.spans)-1 && rec.spans[rec.open].zeroWait() {
+		rec.spans = rec.spans[:rec.open]
+	}
+	rec.open = -1
 }
 
 // dropOpen removes the open span entirely (tentative plan-wait at finish).
-func (r *Recorder) dropOpen(tl *Timeline) {
-	if tl.open < 0 {
+func (r *Recorder) dropOpen(rec *record) {
+	if rec.open < 0 {
 		return
 	}
-	tl.Spans = tl.Spans[:tl.open]
-	tl.open = -1
+	rec.spans = rec.spans[:rec.open]
+	rec.open = -1
 }
 
 func (r *Recorder) onPlanComputed(now, _ time.Duration, ctx *sched.PlanContext) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	kept := r.waiting[:0]
-	for _, tl := range r.waiting {
-		if tl.Done || tl.open < 0 || tl.Spans[tl.open].Kind != SpanPlanWait {
-			continue // finalized, or the wait already ended
+	for _, rec := range r.waiting {
+		// A finalized record, or one whose wait already ended, leaves.
+		if !rec.tl.Done && rec.open >= 0 && rec.spans[rec.open].kind == kindPlanWait {
+			if _, ok := ctx.PendingState(workload.RequestID(rec.tl.ID)); !ok {
+				kept = append(kept, rec)
+				continue
+			}
+			// First plan that considered the request: plan-wait ends,
+			// queueing (considered but not yet dispatched) begins.
+			r.closeSpan(rec, now)
+			r.openSpan(rec, kindQueue, now)
 		}
-		if _, ok := ctx.PendingState(workload.RequestID(tl.ID)); !ok {
-			kept = append(kept, tl)
-			continue
-		}
-		// First plan that considered the request: plan-wait ends, queueing
-		// (considered but not yet dispatched) begins.
-		r.closeSpan(tl, now)
-		r.openSpan(tl, SpanQueue, now)
+		rec.waiting = false
 	}
 	clear(r.waiting[len(kept):])
 	r.waiting = kept
@@ -286,49 +473,44 @@ func (r *Recorder) onPlanComputed(now, _ time.Duration, ctx *sched.PlanContext) 
 func (r *Recorder) onRunStarted(now time.Duration, run *engine.Run) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var gpus []int
 	for _, id := range run.Asg.Requests {
-		tl, ok := r.active[id]
-		if !ok {
+		rec := r.active(id)
+		if rec == nil {
 			continue
 		}
-		r.closeSpan(tl, now)
-		sp := r.openSpan(tl, SpanCompute, now)
-		sp.Steps = run.Steps[id]
-		sp.Degree = run.Degree
-		sp.Batched = run.Batched
-		if gpus == nil {
-			for _, g := range run.Asg.Group.IDs() {
-				gpus = append(gpus, int(g))
-			}
-		}
-		sp.GPUs = gpus
+		r.closeSpan(rec, now)
+		sp := r.openSpan(rec, kindCompute, now)
+		sp.steps = run.Steps[id]
+		sp.degree = run.Degree
+		sp.batched = run.Batched
+		sp.gpus = run.Asg.Group
 	}
 }
 
-// endCompute closes every member's compute segment at `at`, tagging an
-// abnormal cause ("fault"/"resize") when the block did not retire cleanly.
-func (r *Recorder) endCompute(at time.Duration, run *engine.Run, cause string) {
-	for _, id := range run.Asg.Requests {
-		tl, ok := r.active[id]
-		if !ok || tl.open < 0 || tl.Spans[tl.open].Kind != SpanCompute {
-			continue
-		}
-		tl.Spans[tl.open].Cause = cause
-		r.closeSpan(tl, at)
+// endCompute closes a member's compute segment at `at`, tagging an abnormal
+// cause ("fault"/"resize") when the block did not retire cleanly.
+func (r *Recorder) endCompute(rec *record, at time.Duration, cause string) {
+	if rec.open < 0 || rec.spans[rec.open].kind != kindCompute {
+		return
 	}
+	rec.spans[rec.open].cause = r.cause(cause)
+	r.closeSpan(rec, at)
 }
 
 func (r *Recorder) onRunFinished(_ time.Duration, run *engine.Run) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.endCompute(run.End, run, "")
-	// A member with steps left goes straight back to pending with no hook of
-	// its own; open a tentative plan-wait span — Finished/Dropped (which fire
-	// synchronously for retiring members) discard it.
 	for _, id := range run.Asg.Requests {
-		if tl, ok := r.active[id]; ok && tl.open < 0 {
-			r.openPlanWait(tl, run.End)
+		rec := r.active(id)
+		if rec == nil {
+			continue
+		}
+		r.endCompute(rec, run.End, "")
+		// A member with steps left goes straight back to pending with no
+		// hook of its own; open a tentative plan-wait span — Finished/Dropped
+		// (which fire synchronously for retiring members) discard it.
+		if rec.open < 0 {
+			r.openPlanWait(rec, run.End)
 		}
 	}
 }
@@ -336,16 +518,20 @@ func (r *Recorder) onRunFinished(_ time.Duration, run *engine.Run) {
 func (r *Recorder) onRunAborted(now time.Duration, run *engine.Run, _ map[workload.RequestID]int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.endCompute(now, run, string(control.RequeueFault))
+	for _, id := range run.Asg.Requests {
+		if rec := r.active(id); rec != nil {
+			r.endCompute(rec, now, string(control.RequeueFault))
+		}
+	}
 }
 
 func (r *Recorder) onRunPreempted(now time.Duration, run *engine.Run, _ map[workload.RequestID]int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.endCompute(now, run, string(control.RequeueResize))
 	for _, id := range run.Asg.Requests {
-		if tl, ok := r.active[id]; ok {
-			tl.Spans = append(tl.Spans, Span{Kind: SpanPreempted, StartUS: us(now), EndUS: us(now)})
+		if rec := r.active(id); rec != nil {
+			r.endCompute(rec, now, string(control.RequeueResize))
+			appendSpan(rec, kindPreempted, now)
 		}
 	}
 }
@@ -353,16 +539,16 @@ func (r *Recorder) onRunPreempted(now time.Duration, run *engine.Run, _ map[work
 func (r *Recorder) onStepsElided(_ time.Duration, id workload.RequestID, approx int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tl, ok := r.active[id]
-	if !ok {
+	rec := r.active(id)
+	if rec == nil {
 		return
 	}
-	tl.ElidedSteps += approx
+	rec.tl.ElidedSteps += approx
 	// Attach to the most recent compute segment (already closed by the run
 	// retirement that fired just before this credit).
-	for i := len(tl.Spans) - 1; i >= 0; i-- {
-		if tl.Spans[i].Kind == SpanCompute {
-			tl.Spans[i].ElidedSteps += approx
+	for i := len(rec.spans) - 1; i >= 0; i-- {
+		if rec.spans[i].kind == kindCompute {
+			rec.spans[i].elided += approx
 			return
 		}
 	}
@@ -371,109 +557,111 @@ func (r *Recorder) onStepsElided(_ time.Duration, id workload.RequestID, approx 
 func (r *Recorder) onRequeued(now time.Duration, id workload.RequestID, cause control.RequeueCause) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tl, ok := r.active[id]
-	if !ok {
+	rec := r.active(id)
+	if rec == nil {
 		return
 	}
-	tl.Spans = append(tl.Spans, Span{Kind: SpanRequeued, StartUS: us(now), EndUS: us(now), Cause: string(cause)})
-	tl.open = -1
-	r.openPlanWait(tl, now)
+	appendSpan(rec, kindRequeued, now).cause = r.cause(string(cause))
+	rec.open = -1
+	r.openPlanWait(rec, now)
 }
 
 func (r *Recorder) onFinished(_ time.Duration, o control.Outcome) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tl, ok := r.active[o.ID]
-	if !ok {
+	rec := r.active(o.ID)
+	if rec == nil {
 		return
 	}
-	r.dropOpen(tl)
-	tl.Spans = append(tl.Spans, Span{Kind: SpanFinish, StartUS: us(o.Completion), EndUS: us(o.Completion)})
-	tl.CompletedUS = us(o.Completion)
-	tl.Met = o.Met
-	r.finalize(tl)
+	r.dropOpen(rec)
+	appendSpan(rec, kindFinish, o.Completion)
+	rec.tl.CompletedUS = us(o.Completion)
+	rec.tl.Met = o.Met
+	r.finalize(rec)
 }
 
 func (r *Recorder) onDropped(now time.Duration, o control.Outcome) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tl, ok := r.active[o.ID]
-	if !ok {
+	rec := r.active(o.ID)
+	if rec == nil {
 		return
 	}
-	r.closeSpan(tl, now)
-	tl.Spans = append(tl.Spans, Span{Kind: SpanDrop, StartUS: us(now), EndUS: us(now), Cause: string(o.Cause)})
-	tl.Dropped = true
-	tl.Cause = string(o.Cause)
-	r.finalize(tl)
+	r.closeSpan(rec, now)
+	appendSpan(rec, kindDrop, now).cause = r.cause(string(o.Cause))
+	rec.tl.Dropped = true
+	rec.tl.Cause = string(o.Cause)
+	r.finalize(rec)
 }
 
 // finalize prunes zero-length wait spans, updates the aggregates, streams
-// the timeline to the sink, and moves it into the bounded retention ring.
-// Caller holds r.mu.
-func (r *Recorder) finalize(tl *Timeline) {
-	kept := tl.Spans[:0]
-	for _, s := range tl.Spans {
-		if (s.Kind == SpanPlanWait || s.Kind == SpanQueue) && s.StartUS == s.EndUS {
-			continue
+// the timeline to the sink, and moves the record into the bounded
+// retention ring. Caller holds r.mu.
+func (r *Recorder) finalize(rec *record) {
+	kept := 0
+	for i := range rec.spans {
+		if !rec.spans[i].zeroWait() {
+			rec.spans[kept] = rec.spans[i]
+			kept++
 		}
-		kept = append(kept, s)
 	}
-	tl.Spans = kept
-	tl.Done = true
-	delete(r.active, workload.RequestID(tl.ID))
+	rec.spans = rec.spans[:kept]
+	rec.tl.Done = true
 	r.finalized++
 
-	ta := r.tenants[tl.Tenant]
-	if ta == nil {
-		ta = &tenantAgg{}
-		r.tenants[tl.Tenant] = ta
-	}
+	ta := r.tenant(rec.tl.Tenant)
 	ta.done++
-	if tl.Met {
+	if rec.tl.Met {
 		ta.met++
 	}
-	pa := r.phases[tl.Class]
-	if pa == nil {
-		pa = &phaseAgg{}
-		r.phases[tl.Class] = pa
-	}
-	pa.count++
-	for kind, secs := range tl.PhaseSeconds() {
-		switch kind {
-		case SpanPlanWait:
-			pa.planWait += secs
-		case SpanQueue:
-			pa.queue += secs
-		case SpanCompute:
-			pa.compute += secs
+	// Each phase is summed on its own before it joins the class total, as
+	// Timeline.Phase sums it.
+	var planWait, queue, compute float64
+	for i := range rec.spans {
+		switch s := &rec.spans[i]; s.kind {
+		case kindPlanWait:
+			planWait += spanSeconds(s.start, s.end)
+		case kindQueue:
+			queue += spanSeconds(s.start, s.end)
+		case kindCompute:
+			compute += spanSeconds(s.start, s.end)
 		}
 	}
+	pa := r.phase(rec.tl.Class)
+	pa.count++
+	pa.planWait += planWait
+	pa.queue += queue
+	pa.compute += compute
 
-	if r.cfg.OnFinalized != nil {
-		r.cfg.OnFinalized(tl)
-	}
-	if r.cfg.Sink != nil && r.sinkErr == nil {
-		if data, err := json.Marshal(tl); err != nil {
-			r.sinkErr = err
-		} else if _, err := r.cfg.Sink.Write(append(data, '\n')); err != nil {
-			r.sinkErr = err
+	if r.cfg.OnFinalized != nil || r.enc != nil {
+		tl := r.render(rec)
+		if r.cfg.OnFinalized != nil {
+			r.cfg.OnFinalized(tl)
+		}
+		if r.enc != nil && r.sinkErr == nil {
+			r.sinkErr = r.enc.Encode(tl)
 		}
 	}
 
 	if len(r.final) < r.cfg.Capacity {
-		r.final = append(r.final, tl)
+		r.final = append(r.final, rec)
 		return
 	}
 	old := r.final[r.ringAt]
-	r.final[r.ringAt] = tl
+	r.final[r.ringAt] = rec
 	r.ringAt = (r.ringAt + 1) % r.cfg.Capacity
-	// Evict the overwritten timeline from the lookup maps — unless a newer
-	// timeline already claimed the same key.
-	if r.byTrace[old.TraceID] == old {
-		delete(r.byTrace, old.TraceID)
+	// Evict the overwritten record from the lookup maps — unless a newer
+	// record already claimed the same key.
+	if r.byTrace[old.tl.TraceID] == old {
+		delete(r.byTrace, old.tl.TraceID)
 	}
-	if r.byID[workload.RequestID(old.ID)] == old {
-		delete(r.byID, workload.RequestID(old.ID))
+	if r.byID[workload.RequestID(old.tl.ID)] == old {
+		delete(r.byID, workload.RequestID(old.tl.ID))
+	}
+	// Nothing refers to the evicted record now but, until the next plan,
+	// the waiting list: one still there is left to the collector, since
+	// reusing it would put the new request on the list twice.
+	if !old.waiting {
+		r.spare = append(r.spare, old)
 	}
 }

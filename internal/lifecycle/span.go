@@ -90,10 +90,6 @@ type Timeline struct {
 	ElidedSteps int `json:"elided_steps,omitempty"`
 
 	Spans []Span `json:"spans"`
-
-	// open indexes the currently open span, -1 when none. Internal recorder
-	// state, meaningless on copies returned by Lookup.
-	open int
 }
 
 // PhaseSeconds sums span durations per kind — the derived phase-latency
@@ -106,6 +102,27 @@ func (t *Timeline) PhaseSeconds() map[SpanKind]float64 {
 		}
 	}
 	return out
+}
+
+// Phase returns PhaseSeconds()[kind] without building the map: the summed
+// seconds of the kind's spans, 0 when it has none of positive length.
+func (t *Timeline) Phase(kind SpanKind) float64 {
+	var secs float64
+	for i := range t.Spans {
+		if s := &t.Spans[i]; s.Kind == kind {
+			secs += spanSeconds(s.StartUS, s.EndUS)
+		}
+	}
+	return secs
+}
+
+// spanSeconds is a span's duration in seconds, 0 unless it is positive:
+// the term PhaseSeconds adds for it.
+func spanSeconds(startUS, endUS int64) float64 {
+	if endUS <= startUS {
+		return 0
+	}
+	return (time.Duration(endUS-startUS) * time.Microsecond).Seconds()
 }
 
 // Clone deep-copies the timeline (spans included).

@@ -55,6 +55,7 @@ type Plane struct {
 	e2e                         *HistogramVec
 	e2eByRes                    map[model.Resolution]*Histogram
 	phaseSeconds                *HistogramVec
+	phaseByClass                map[string]*[len(timelinePhases)]*Histogram
 	attainment                  *GaugeVec
 	attainByTenant              map[string]*sloWindow
 
@@ -118,6 +119,7 @@ func NewPlane() *Plane {
 			"Per-request phase latency decomposition (plan-wait, queue, compute), by resolution class.", PhaseBuckets, "phase", "class"),
 		attainment: reg.GaugeVec("tetriserve_slo_attainment",
 			"SLO attainment over finalized requests, by tenant.", "tenant"),
+		phaseByClass:   map[string]*[len(timelinePhases)]*Histogram{},
 		attainByTenant: map[string]*sloWindow{},
 		phase:          map[workload.RequestID]uint8{},
 	}
@@ -339,15 +341,29 @@ type sloWindow struct {
 	g         *Gauge
 }
 
+// timelinePhases are the phases tetriserve_phase_seconds decomposes.
+var timelinePhases = [...]lifecycle.SpanKind{lifecycle.SpanPlanWait, lifecycle.SpanQueue, lifecycle.SpanCompute}
+
 // ObserveTimeline feeds one finalized lifecycle timeline into the phase
 // histograms and the per-tenant attainment gauges — wire it as the
 // lifecycle.Recorder's OnFinalized callback. Runs on the loop goroutine.
 func (p *Plane) ObserveTimeline(tl *lifecycle.Timeline) {
-	for kind, secs := range tl.PhaseSeconds() {
-		switch kind {
-		case lifecycle.SpanPlanWait, lifecycle.SpanQueue, lifecycle.SpanCompute:
-			p.phaseSeconds.With(string(kind), tl.Class).Observe(secs)
+	hs := p.phaseByClass[tl.Class]
+	if hs == nil {
+		hs = new([len(timelinePhases)]*Histogram)
+		p.phaseByClass[tl.Class] = hs
+	}
+	for i, kind := range timelinePhases {
+		// A phase the request spent no time in gets no observation, so a
+		// (phase, class) series appears with its first positive one.
+		secs := tl.Phase(kind)
+		if secs <= 0 {
+			continue
 		}
+		if hs[i] == nil {
+			hs[i] = p.phaseSeconds.With(string(kind), tl.Class)
+		}
+		hs[i].Observe(secs)
 	}
 	w, ok := p.attainByTenant[tl.Tenant]
 	if !ok {

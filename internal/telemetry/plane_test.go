@@ -9,6 +9,7 @@ import (
 	"tetriserve/internal/control"
 	"tetriserve/internal/core"
 	"tetriserve/internal/engine"
+	"tetriserve/internal/lifecycle"
 	"tetriserve/internal/model"
 	"tetriserve/internal/sim"
 	"tetriserve/internal/simgpu"
@@ -312,5 +313,34 @@ func TestPlaneDropCausesAndFaults(t *testing.T) {
 	}
 	if !degreeSeen {
 		t.Fatal("no decisions recorded across all rounds")
+	}
+}
+
+// TestObserveTimelinePhaseSeries: a finalized timeline observes each phase
+// it spent time in once, opens no series for a phase it did not, and, once
+// its (phase, class) series exist, allocates nothing.
+func TestObserveTimelinePhaseSeries(t *testing.T) {
+	p := NewPlane()
+	tl := &lifecycle.Timeline{Class: "512x512", Tenant: "gold", Met: true, Spans: []lifecycle.Span{
+		{Kind: lifecycle.SpanAdmission, StartUS: 0, EndUS: 0},
+		{Kind: lifecycle.SpanPlanWait, StartUS: 0, EndUS: 1500},
+		{Kind: lifecycle.SpanCompute, StartUS: 1500, EndUS: 4000},
+		{Kind: lifecycle.SpanPlanWait, StartUS: 4000, EndUS: 4500},
+		{Kind: lifecycle.SpanCompute, StartUS: 4500, EndUS: 9000},
+		{Kind: lifecycle.SpanFinish, StartUS: 9000, EndUS: 9000},
+	}}
+	p.ObserveTimeline(tl)
+	snap := p.Registry.Snapshot()
+	for _, kind := range []lifecycle.SpanKind{lifecycle.SpanPlanWait, lifecycle.SpanCompute} {
+		key := `tetriserve_phase_seconds_sum{phase="` + string(kind) + `",class="512x512"}`
+		if got, want := snap[key], tl.PhaseSeconds()[kind]; got != want {
+			t.Errorf("%s = %v, want %v", key, got, want)
+		}
+	}
+	if _, ok := snap[`tetriserve_phase_seconds_count{phase="queue",class="512x512"}`]; ok {
+		t.Error("a timeline with no queue time opened a queue series")
+	}
+	if got := testing.AllocsPerRun(100, func() { p.ObserveTimeline(tl) }); got != 0 {
+		t.Errorf("ObserveTimeline allocates %v times per timeline, want 0", got)
 	}
 }
