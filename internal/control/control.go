@@ -239,13 +239,11 @@ type Loop struct {
 	// pending or running. Finalization deletes the entry, so nothing in it is
 	// ever done.
 	states map[workload.RequestID]*sched.RequestState
-	// pending holds exactly the tracked requests that are not running, in
-	// the order they (re)joined the queue: the order expiry drops them in
-	// and the probe sums the backlog in.
-	pending []*sched.RequestState
-	// queue holds the same states sorted by (arrival, ID), the order the
-	// planner sees. Binary insertion and removal keep it sorted, so a round
-	// copies it instead of sorting the whole queue.
+	// queue holds exactly the tracked requests that are not running, sorted
+	// by (arrival, ID): the order the planner sees, expiry drops in and the
+	// probe sums the backlog in. Binary insertion and removal keep it
+	// sorted, and a round hands it to the planner as is (PlanContext.Pending
+	// aliases it).
 	queue    []*sched.RequestState
 	inflight map[engine.RunID]*engine.Run
 	// runEv maps in-flight runs to their completion events so GPU faults
@@ -274,12 +272,11 @@ type Loop struct {
 	resizeMask   simgpu.Mask
 
 	// Reused per-plan scratch (the control-plane analogue of the planner's
-	// planScratch): snapshot buffers, the PlanContext handed to the
+	// planScratch): the running snapshot, the PlanContext handed to the
 	// scheduler, and the plan validator all live across rounds so a planning
 	// boundary allocates nothing in steady state.
-	ctx      sched.PlanContext
-	pendSnap []*sched.RequestState
-	runSnap  []*sched.RequestState
+	ctx     sched.PlanContext
+	runSnap []*sched.RequestState
 	// running tracks states with Running set, maintained at the three flip
 	// sites so snapshotRunning never walks the full (mostly finished)
 	// request tracker.
@@ -605,7 +602,7 @@ func (l *Loop) onRoundTick(at, now time.Duration) {
 	// With nothing pending, in flight or staged the loop parks: no next tick
 	// until admit or stageResize re-arms the grid.
 	l.grid = at + l.tau
-	l.armed = len(l.pending) != 0 || len(l.inflight) != 0 || l.resizeStaged
+	l.armed = len(l.queue) != 0 || len(l.inflight) != 0 || l.resizeStaged
 	if l.armed {
 		l.q.Push(l.grid, evRoundTick, nil)
 	}
@@ -615,14 +612,15 @@ func (l *Loop) onRoundTick(at, now time.Duration) {
 // returned assignments.
 func (l *Loop) plan(now time.Duration) {
 	l.expire(now)
-	// The context and its snapshot slices are loop-owned scratch, rebuilt in
-	// place every round; hook observers already contract to read them only
-	// synchronously.
+	// The context and its slices are loop-owned scratch, rebuilt in place
+	// every round; hook observers already contract to read them only
+	// synchronously. Pending is the queue itself, which dispatch below
+	// edits: nothing may read it once the first assignment starts.
 	l.ctx = sched.PlanContext{
 		Now:      now,
 		Free:     l.eng.Free(),
 		Capacity: l.eng.Capacity(),
-		Pending:  l.snapshotPending(),
+		Pending:  l.queue,
 		Running:  l.snapshotRunning(),
 		Tracked:  l.states,
 		Profile:  l.cfg.Profile,
@@ -675,7 +673,7 @@ func (l *Loop) plan(now time.Duration) {
 		for _, id := range asg.Requests {
 			st := l.states[id]
 			l.setRunning(st)
-			l.removePending(st)
+			l.unqueue(st)
 			if l.cfg.Hooks.Started != nil {
 				l.cfg.Hooks.Started(now, id)
 			}
@@ -687,24 +685,22 @@ func (l *Loop) plan(now time.Duration) {
 
 // expire applies the timeout policy at planning boundaries: a request still
 // pending past DropLateFactor × SLO is abandoned — its client is gone, and
-// keeping it would let the queue grow without bound under overload.
+// keeping it would let the queue grow without bound under overload. Drops
+// happen in queue order, (arrival, ID).
 func (l *Loop) expire(now time.Duration) {
 	if l.cfg.DropLateFactor <= 0 {
 		return
 	}
-	kept := l.pending[:0]
-	for _, st := range l.pending {
-		if !st.Running && l.pastDrop(now, st) {
-			l.unqueue(st)
+	kept := l.queue[:0]
+	for _, st := range l.queue {
+		if l.pastDrop(now, st) {
 			l.drop(now, st, DropExpired)
 		} else {
 			kept = append(kept, st)
 		}
 	}
-	for i := len(kept); i < len(l.pending); i++ {
-		l.pending[i] = nil
-	}
-	l.pending = kept
+	clear(l.queue[len(kept):])
+	l.queue = kept
 }
 
 // onGPUFail injects a fail-stop fault: the engine aborts intersecting
@@ -920,17 +916,6 @@ func (l *Loop) dispatchDelay() time.Duration {
 	return 0
 }
 
-func (l *Loop) snapshotPending() []*sched.RequestState {
-	out := l.pendSnap[:0]
-	for _, st := range l.queue {
-		if !st.Running && st.Remaining > 0 {
-			out = append(out, st)
-		}
-	}
-	l.pendSnap = out
-	return out
-}
-
 // byArrival is the planner's queue order. Arrival order is part of the FIFO
 // baselines' semantics; re-queued requests must not jump ahead of earlier
 // arrivals. (arrival, ID) is a total order, so every state has one slot.
@@ -941,14 +926,14 @@ func byArrival(a, b *sched.RequestState) int {
 	return cmp.Compare(a.Req.ID, b.Req.ID)
 }
 
-// enqueue returns a tracked, non-running request to both pending orders.
+// enqueue returns a tracked, non-running request with steps left to the
+// queue.
 func (l *Loop) enqueue(st *sched.RequestState) {
-	l.pending = append(l.pending, st)
 	i, _ := slices.BinarySearchFunc(l.queue, st, byArrival)
 	l.queue = slices.Insert(l.queue, i, st)
 }
 
-// unqueue removes st from the arrival-sorted queue.
+// unqueue removes st from the queue: one binary search.
 func (l *Loop) unqueue(st *sched.RequestState) {
 	if i, ok := slices.BinarySearchFunc(l.queue, st, byArrival); ok {
 		l.queue = slices.Delete(l.queue, i, i+1)
@@ -995,14 +980,6 @@ func (l *Loop) snapshotRunning() []*sched.RequestState {
 	})
 	l.runSnap = out
 	return out
-}
-
-// removePending takes a dispatched request out of both pending orders.
-func (l *Loop) removePending(st *sched.RequestState) {
-	l.unqueue(st)
-	if i := slices.Index(l.pending, st); i >= 0 {
-		l.pending = slices.Delete(l.pending, i, i+1)
-	}
 }
 
 // dropLimit is the absolute instant past which a request is abandoned under

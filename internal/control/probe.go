@@ -119,17 +119,14 @@ func (l *Loop) ProbeClasses(classes []ProbeClass, out []Feasibility) error {
 	maxCache := l.maxCacheInterval()
 
 	// Backlog: every tracked, unfinished request costed at its cheapest
-	// profiled degree (the pending filter is the one snapshotPending
-	// applies); running requests are counted by their remaining steps only.
-	// A fully failed pool skips the walk: no projection reads it.
+	// profiled degree, pending ones summed in queue order; running requests
+	// are counted by their remaining steps only. A fully failed pool skips
+	// the walk: no projection reads it.
 	var backlog float64
 	pending := 0
 	if healthy > 0 {
-		for _, st := range l.pending {
-			if st.Running || st.Remaining <= 0 {
-				continue
-			}
-			pending++
+		pending = len(l.queue)
+		for _, st := range l.queue {
 			backlog += float64(st.Remaining) * l.minGPUSecondsWithin(st.Req.Res, healthy)
 		}
 		for _, st := range l.running {

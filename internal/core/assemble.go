@@ -134,24 +134,12 @@ func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*
 			sc.lateArena = make([]candidate, 0, bestEffortGPUs)
 		}
 		sc.lateArena = sc.lateArena[:0]
-		// The lane serves late requests earliest deadline first, ties in
-		// pending order. It takes at most budget of them, so it selects
-		// them one at a time instead of sorting the whole late set: pick i
-		// is the first minimum of late[i:], rotated to position i so the
-		// rest keep pending order. The picks equal a stable sort's prefix.
-		for i := 0; i < len(late); i++ {
+		// late holds the partition's picks, earliest deadline first with
+		// ties in pending order, and no more than the lane's cap.
+		for _, st := range late {
 			if budget <= 0 || free.Count() == 0 {
 				break
 			}
-			m, md := i, late[i].Deadline()
-			for j := i + 1; j < len(late); j++ {
-				if d := late[j].Deadline(); d < md {
-					m, md = j, d
-				}
-			}
-			st := late[m]
-			copy(late[i+1:m+1], late[i:m])
-			late[i] = st
 			budget--
 			g := sched.AlignedGroup(ctx.Topo, free, 1, st.LastGroup)
 			if g == 0 {

@@ -138,18 +138,41 @@ func TestDefinitelyLateCacheOffMatchesRescueProjection(t *testing.T) {
 	}
 }
 
-// BenchmarkPlanLateBacklog times one Plan over a deep, mostly definitely
-// late queue: the partition, the best-effort lane and the DP over the few
-// active requests.
+// BenchmarkPlanLateBacklog times Plan over a deep, mostly definitely late
+// queue: the partition, the best-effort lane and the DP over the few active
+// requests. steady is a serving loop's view: the clock advances by τ each
+// round over the same states, so the late marks of earlier rounds hold.
+// cold restores every state to its unjudged original before each round
+// (timer stopped), so every request is judged afresh.
 func BenchmarkPlanLateBacklog(b *testing.B) {
 	for _, depth := range []int{64, 672, 4096} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+		b.Run(fmt.Sprintf("depth=%d/steady", depth), func(b *testing.B) {
 			s := NewScheduler(testProf, testTopo, DefaultConfig())
 			ctx := lateBacklogCtx(depth)
 			s.Plan(ctx)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				ctx.Now += s.RoundDuration()
+				s.Plan(ctx)
+			}
+		})
+		b.Run(fmt.Sprintf("depth=%d/cold", depth), func(b *testing.B) {
+			s := NewScheduler(testProf, testTopo, DefaultConfig())
+			ctx := lateBacklogCtx(depth)
+			orig := make([]sched.RequestState, len(ctx.Pending))
+			for i, st := range ctx.Pending {
+				orig[i] = *st
+			}
+			s.Plan(ctx)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j, st := range ctx.Pending {
+					*st = orig[j]
+				}
+				b.StartTimer()
 				s.Plan(ctx)
 			}
 		})

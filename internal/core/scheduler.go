@@ -233,14 +233,9 @@ func (s *Scheduler) Plan(ctx *sched.PlanContext) []sched.Assignment {
 	s.beginPlan(ctx.Profile)
 	sc := &s.scratch
 
-	// Partition pending requests into active and definitely-late.
-	for _, st := range ctx.Pending {
-		if s.definitelyLate(ctx.Profile, st, ctx.Now) {
-			sc.late = append(sc.late, st)
-		} else {
-			sc.active = append(sc.active, st)
-		}
-	}
+	// Partition pending requests into active and definitely-late, picking
+	// the best-effort lane's requests on the way.
+	s.partition(ctx)
 
 	// Stage 1: deadline-aware minimal-GPU-hour allocation per request.
 	// All plan-time lookups go through ctx.Profile so a live server may
@@ -261,7 +256,7 @@ func (s *Scheduler) Plan(ctx *sched.PlanContext) []sched.Assignment {
 	chosen := s.packDP(s.pruneCandidates(sc.cands), capGPUs)
 
 	// Stage 3: placement, batching, elastic scale-up, best-effort lane.
-	return s.assemble(ctx, chosen, sc.cands, sc.late)
+	return s.assemble(ctx, chosen, sc.cands, sc.late[:sc.nLate])
 }
 
 var _ sched.Scheduler = (*Scheduler)(nil)

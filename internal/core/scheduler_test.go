@@ -465,8 +465,8 @@ func TestPlanZeroAllocSteadyState(t *testing.T) {
 		s.Plan(ctx)
 		s.Plan(ctx)
 		sc := &s.scratch
-		if 4*len(sc.late) < 3*len(ctx.Pending) {
-			t.Fatalf("only %d of %d pending definitely late", len(sc.late), len(ctx.Pending))
+		if late := len(ctx.Pending) - len(sc.active); 4*late < 3*len(ctx.Pending) {
+			t.Fatalf("only %d of %d pending definitely late", late, len(ctx.Pending))
 		}
 		if avg := testing.AllocsPerRun(20, func() { s.Plan(ctx) }); avg != 0 {
 			t.Fatalf("late-backlog Plan allocates %.1f times per call, want 0", avg)

@@ -33,9 +33,14 @@ type mixKey struct {
 
 // planScratch is the arena reused across Plan calls.
 type planScratch struct {
-	// Stage 0: request partition.
-	active []*sched.RequestState
-	late   []*sched.RequestState
+	// Stage 0: request partition. late[:nLate] are the best-effort lane's
+	// picks, not the whole late set: the bestEffortGPUs earliest-deadline
+	// definitely-late requests, ties in pending order, with their deadlines
+	// in lateDue.
+	active  []*sched.RequestState
+	late    [bestEffortGPUs]*sched.RequestState
+	lateDue [bestEffortGPUs]time.Duration
+	nLate   int
 
 	// Stage 1: candidate construction.
 	candArena []candidate
@@ -99,7 +104,8 @@ type resMemo struct {
 func (s *Scheduler) beginPlan(prof *costmodel.Profile) {
 	sc := &s.scratch
 	sc.active = sc.active[:0]
-	sc.late = sc.late[:0]
+	sc.late = [bestEffortGPUs]*sched.RequestState{}
+	sc.nLate = 0
 	sc.cands = sc.cands[:0]
 	s.ensureMemo(prof)
 	clear(sc.mixMemo)
@@ -171,6 +177,70 @@ func (s *Scheduler) definitelyLate(prof *costmodel.Profile, st *sched.RequestSta
 	done := total - st.Remaining
 	budgetLeft := st.Req.QualityBudget - st.QualityUsed
 	return !s.cacheFeasibleAt(prof, st, now, st.Remaining, done, budgetLeft)
+}
+
+// partition splits ctx.Pending into the active set and the definitely-late
+// requests, keeping of the latter only the lane's picks (pickLate).
+//
+// With caching off a late verdict is stamped on the request
+// (sched.LateMark) and reused while the profile, its version and Remaining
+// stand still and the clock has not gone back: now + Remaining·tmin can
+// then only have grown, so the reused verdict is exact. Every other request
+// is judged again. The reuse does not assume lateness is monotone across
+// executed steps: a jittered step may run faster than tmin, and a request
+// whose Remaining moved is always re-judged. With caching on the rescue
+// projection is not monotone in now, so nothing is reused.
+func (s *Scheduler) partition(ctx *sched.PlanContext) {
+	sc := &s.scratch
+	prof, now := ctx.Profile, ctx.Now
+	version := prof.Version()
+	keep := s.cfg.MaxCacheInterval <= 1
+	for _, st := range ctx.Pending {
+		var due time.Duration
+		switch {
+		case keep && lateMarkHolds(st, prof, version, now):
+			due = st.Late.Deadline
+		case s.definitelyLate(prof, st, now):
+			due = st.Deadline()
+			if keep {
+				st.Late = sched.LateMark{Prof: prof, Version: version, Remaining: st.Remaining, At: now, Deadline: due}
+			}
+		default:
+			sc.active = append(sc.active, st)
+			continue
+		}
+		// Most late requests rank behind a full set of picks; test that
+		// here, where the call costs nothing.
+		if sc.nLate < len(sc.late) || due < sc.lateDue[len(sc.late)-1] {
+			sc.pickLate(st, due)
+		}
+	}
+}
+
+// lateMarkHolds reports whether st's late mark was stamped under prof at
+// its current version, for the current Remaining, no later than now.
+func lateMarkHolds(st *sched.RequestState, prof *costmodel.Profile, version uint64, now time.Duration) bool {
+	m := &st.Late
+	return m.Prof == prof && m.Version == version && m.Remaining == st.Remaining && now >= m.At
+}
+
+// pickLate inserts a definitely-late request into the lane's picks, which
+// must have room for it or rank it ahead of their last. A fixed-size
+// insertion keeps the bestEffortGPUs earliest deadlines in order; a tie goes
+// to the earlier offer (partition offers in pending order and never lets a
+// tie displace the last pick), so the picks equal the prefix of the late
+// set stable-sorted by deadline.
+func (sc *planScratch) pickLate(st *sched.RequestState, due time.Duration) {
+	n := sc.nLate
+	if n == len(sc.late) {
+		n-- // the last pick falls out
+	}
+	i := n
+	for ; i > 0 && due < sc.lateDue[i-1]; i-- {
+		sc.late[i], sc.lateDue[i] = sc.late[i-1], sc.lateDue[i-1]
+	}
+	sc.late[i], sc.lateDue[i] = st, due
+	sc.nLate = n + 1
 }
 
 // putMix1 / putMix2 materialize a mix into the per-plan slab, returning a

@@ -51,6 +51,10 @@ type RequestState struct {
 	Req *workload.Request
 	// Remaining is the number of denoising steps left.
 	Remaining int
+	// Late is the planner-owned record of the last "definitely late"
+	// verdict; the control loop never touches it. It sits next to Remaining
+	// so a planner's reuse check reads one cache line per request.
+	Late LateMark
 	// Running reports whether an assignment for this request is executing.
 	Running bool
 	// LastGroup is the GPU set the request ran on most recently (0 before
@@ -64,6 +68,23 @@ type RequestState struct {
 	QualityUsed int
 	// Started reports whether any step has executed.
 	Started bool
+}
+
+// LateMark records the inputs a "definitely late" verdict was reached at:
+// the profile and its version, the remaining steps, the judging instant and
+// the deadline. With the cache dimension off the verdict is
+// now + Remaining·T_min > Deadline, and while the profile, its version and
+// Remaining stand still that sum only grows with now, so a planner may reuse
+// the verdict at any later instant instead of judging again. The deadline
+// is fixed once a request is admitted; keeping a copy here lets the planner
+// rank late requests without loading the request. The zero value records no
+// verdict.
+type LateMark struct {
+	Prof      *costmodel.Profile
+	Version   uint64
+	Remaining int
+	At        time.Duration
+	Deadline  time.Duration
 }
 
 // Clone returns a deep copy (used by solvers that explore hypotheticals).
@@ -156,7 +177,13 @@ type PlanContext struct {
 	// ledger.
 	Capacity simgpu.Mask
 	// Pending lists requests with Remaining > 0 that are not Running,
-	// in arrival order.
+	// sorted by (arrival, ID).
+	//
+	// It may alias the caller's queue (the control loop passes its own
+	// pending queue, not a copy). Schedulers and observers must treat it as
+	// read-only, and may read it only during Plan and the synchronous
+	// PlanComputed/Planned hooks: dispatch removes the started requests from
+	// that queue right after, shifting the slice's elements in place.
 	Pending []*RequestState
 	// Running lists requests currently executing.
 	Running []*RequestState
