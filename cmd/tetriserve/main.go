@@ -141,6 +141,8 @@ func runRouter(opt routerOptions) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Stops the shards' digest streams once serve returns on shutdown.
+	defer api.Close()
 	if opt.rebalance {
 		init, max, err := parseRebalanceGPUs(opt.rebalanceGPUs, len(shards))
 		if err != nil {

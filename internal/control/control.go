@@ -285,6 +285,11 @@ type Loop struct {
 	// recArena backs RunRecord.Requests for all records in res.Runs, grown
 	// in place instead of one clone per record.
 	recArena []workload.RequestID
+	// resTable is the digest's per-resolution table for resHealthy GPUs at
+	// profile version resVersion (see resolutionDigests).
+	resTable   []ResolutionDigest
+	resHealthy int
+	resVersion uint64
 }
 
 // New validates the configuration and builds a ready-to-run loop.

@@ -2,6 +2,7 @@ package control
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"tetriserve/internal/model"
@@ -86,11 +87,9 @@ type Feasibility struct {
 //
 // Like every other Loop method, ProbeFeasibility must run on the goroutine
 // that owns the loop (the driver exposes it via a channel round-trip). It is
-// the one-class case of ProbeClasses.
+// Digest().Project for one class.
 func (l *Loop) ProbeFeasibility(res model.Resolution, steps int, slo time.Duration) (Feasibility, error) {
-	var f [1]Feasibility
-	err := l.ProbeClasses([]ProbeClass{{Res: res, Steps: steps, SLO: slo}}, f[:])
-	return f[0], err
+	return l.Digest().Project(ProbeClass{Res: res, Steps: steps, SLO: slo})
 }
 
 // ProbeClass is one hypothetical request shape for ProbeClasses; Steps ≤ 0
@@ -108,103 +107,228 @@ type ProbeClass struct {
 // class whose resolution is not profiled is an error, and then nothing is
 // filled. Like ProbeFeasibility it mutates no loop state.
 func (l *Loop) ProbeClasses(classes []ProbeClass, out []Feasibility) error {
-	for _, c := range classes {
-		if !l.cfg.Profile.Has(c.Res) {
-			return fmt.Errorf("control: %v not in profile", c.Res)
+	d := l.Digest()
+	for i, c := range classes {
+		f, err := d.Project(c)
+		if err != nil {
+			clear(out[:i])
+			return err
 		}
+		out[i] = f
 	}
-	now := l.clk.Now()
+	return nil
+}
+
+// Digest is everything the feasibility projection reads from a loop, taken
+// at one instant: Project turns it into the Feasibility ProbeFeasibility
+// would have returned then, for any request shape. Apart from Now, every
+// field changes only at a loop event — an arrival, a dispatch or block
+// completion, a fault or a resize — so a digest taken after the last event
+// projects exactly until the next one, with Now moved forward.
+//
+// A digest is a plain value: it can cross goroutines and the wire (the
+// shard's GET /v1/digest stream), and its Resolutions table is never
+// mutated after the loop hands it out.
+type Digest struct {
+	Now time.Duration `json:"now_ns"`
+	// HealthyGPUs and FreeGPUs describe capacity; Pending and Running count
+	// tracked requests.
+	HealthyGPUs int `json:"healthy_gpus"`
+	FreeGPUs    int `json:"free_gpus"`
+	Pending     int `json:"pending"`
+	Running     int `json:"running"`
+	// QueueGPUSeconds is the tracked backlog's cheapest-possible GPU·seconds
+	// (0 on a fully failed pool, whose projection never reads it).
+	QueueGPUSeconds float64 `json:"queue_gpu_seconds"`
+	// BoundaryWait is the round a new arrival waits out before it can be
+	// planned: τ when the loop is round-based and cannot admit eagerly, 0
+	// otherwise. DispatchDelay is the per-block control-plane latency.
+	BoundaryWait  time.Duration `json:"boundary_wait_ns"`
+	DispatchDelay time.Duration `json:"dispatch_delay_ns"`
+	// MaxCacheInterval is the scheduler's step-cache ceiling (1 = off) and
+	// CachedStepRelCost the profile's γ.
+	MaxCacheInterval  int     `json:"max_cache_interval"`
+	CachedStepRelCost float64 `json:"cached_step_rel_cost"`
+	// DefaultSteps replaces a class's Steps ≤ 0.
+	DefaultSteps int `json:"default_steps"`
+	// Resolutions holds one row per profiled resolution, restricted to
+	// degrees within HealthyGPUs.
+	Resolutions []ResolutionDigest `json:"resolutions"`
+}
+
+// ResolutionDigest is one profiled resolution's per-step bounds over the
+// degrees a loop can currently form.
+type ResolutionDigest struct {
+	Width  int `json:"width"`
+	Height int `json:"height"`
+	// MinStepTime and MinStepDegree are the fastest per-step latency and the
+	// degree achieving it; MinGPUSeconds is min_k k·T(res,k).
+	MinStepTime   time.Duration `json:"min_step_ns"`
+	MinStepDegree int           `json:"min_step_degree"`
+	MinGPUSeconds float64       `json:"min_gpu_seconds"`
+}
+
+// Digest snapshots the loop's projection inputs. It walks the backlog once
+// and allocates nothing unless the healthy GPU count or the profile changed
+// since the last call. Like every Loop method it must run on the goroutine
+// that owns the loop.
+func (l *Loop) Digest() Digest {
 	healthy := l.eng.HealthyGPUs()
 	free := l.eng.Free()
-	maxCache := l.maxCacheInterval()
-
+	d := Digest{
+		Now:               l.clk.Now(),
+		HealthyGPUs:       healthy,
+		FreeGPUs:          free.Count(),
+		Pending:           len(l.queue),
+		Running:           len(l.running),
+		DispatchDelay:     l.dispatchDelay(),
+		MaxCacheInterval:  l.maxCacheInterval(),
+		CachedStepRelCost: l.cfg.Profile.CachedStepRelCost(),
+		DefaultSteps:      l.cfg.Model.DefaultSteps,
+		Resolutions:       l.resolutionDigests(healthy),
+	}
 	// Backlog: every tracked, unfinished request costed at its cheapest
 	// profiled degree, pending ones summed in queue order; running requests
 	// are counted by their remaining steps only. A fully failed pool skips
 	// the walk: no projection reads it.
-	var backlog float64
-	pending := 0
 	if healthy > 0 {
-		pending = len(l.queue)
 		for _, st := range l.queue {
-			backlog += float64(st.Remaining) * l.minGPUSecondsWithin(st.Req.Res, healthy)
+			d.QueueGPUSeconds += float64(st.Remaining) * l.backlogGPUSeconds(d.Resolutions, st.Req.Res, healthy)
 		}
 		for _, st := range l.running {
 			if st.Remaining <= 0 {
 				continue
 			}
-			backlog += float64(st.Remaining) * l.minGPUSecondsWithin(st.Req.Res, healthy)
+			d.QueueGPUSeconds += float64(st.Remaining) * l.backlogGPUSeconds(d.Resolutions, st.Req.Res, healthy)
 		}
 	}
-
 	// Boundary wait mirrors the arrival path's planning condition: a
 	// non-round-based loop plans on every arrival, and an eager round-based
 	// loop plans immediately whenever a GPU is free; otherwise the request
 	// waits out the current round.
-	var boundary time.Duration
 	if l.roundBased && !(l.eager && free != 0) {
-		boundary = l.tau
+		d.BoundaryWait = l.tau
 	}
+	return d
+}
 
-	for i, c := range classes {
-		steps := c.Steps
-		if steps <= 0 {
-			steps = l.cfg.Model.DefaultSteps
-		}
-		f := Feasibility{
-			Now:              now,
-			Deadline:         now + c.SLO,
-			HealthyGPUs:      healthy,
-			FreeGPUs:         free.Count(),
-			Running:          len(l.running),
-			MaxCacheInterval: maxCache,
-		}
-		// Degrees the shard cannot form (profile calibrated on the full
-		// node, capacity elastically shrunk below it) must not leak into the
-		// bound, or a 2-GPU shard would promise 8-way step times it can
-		// never run.
-		f.MinStepTime, f.MinStepDegree = l.minStepTimeWithin(c.Res, healthy)
-		f.ServiceGPUSeconds = float64(steps) * l.minGPUSecondsWithin(c.Res, healthy)
-		if healthy <= 0 {
-			// A fully failed pool can never win; pin the projection at the
-			// deadline horizon so Slack reports "late by the whole budget".
-			f.ProjectedStart = f.Deadline
-			f.ProjectedFinish = f.Deadline + c.SLO
-			f.Slack = f.Deadline - f.ProjectedFinish
-			f.CachedFinish = f.ProjectedFinish
-			out[i] = f
+// resolutionDigests returns the per-resolution table for healthy usable
+// GPUs, rebuilt only when the healthy count or the profile version changed.
+// A rebuild allocates a fresh slice: digests handed out earlier keep theirs.
+func (l *Loop) resolutionDigests(healthy int) []ResolutionDigest {
+	prof := l.cfg.Profile
+	if l.resTable != nil && l.resHealthy == healthy && l.resVersion == prof.Version() {
+		return l.resTable
+	}
+	var table []ResolutionDigest
+	for _, res := range prof.Resolutions() {
+		if !prof.Has(res) {
 			continue
 		}
-		f.Pending = pending
-		f.QueueGPUSeconds = backlog
-		queueWait := time.Duration(backlog / float64(healthy) * float64(time.Second))
-
-		f.ProjectedStart = now + boundary + queueWait
-		f.ProjectedFinish = f.ProjectedStart + time.Duration(steps)*f.MinStepTime + l.dispatchDelay()
-		f.Winnable = f.ProjectedFinish <= f.Deadline
-		f.Slack = f.Deadline - f.ProjectedFinish
-
-		// Cache-assisted projection: the same fluid bound with every
-		// approximable step (outside the protected first/last N, ignoring
-		// any per-request budget — the probed request is hypothetical and
-		// has none yet) served at the γ-discounted cost. With caching off
-		// this collapses to the plain projection exactly (a = 0 path is not
-		// taken; the fields are copied).
-		f.CachedFinish = f.ProjectedFinish
-		f.CachedWinnable = f.Winnable
-		if f.MaxCacheInterval > 1 {
-			a := sched.ApproxSteps(steps-2*sched.CacheProtectedSteps, f.MaxCacheInterval)
-			if a > 0 {
-				gamma := l.cfg.Profile.CachedStepRelCost()
-				service := time.Duration(steps-a)*f.MinStepTime +
-					time.Duration(float64(a)*gamma*float64(f.MinStepTime))
-				f.CachedFinish = f.ProjectedStart + service + l.dispatchDelay()
-				f.CachedWinnable = f.CachedFinish <= f.Deadline
-			}
-		}
-		out[i] = f
+		t, k := l.minStepTimeWithin(res, healthy)
+		table = append(table, ResolutionDigest{
+			Width: res.W, Height: res.H,
+			MinStepTime: t, MinStepDegree: k,
+			MinGPUSeconds: l.minGPUSecondsWithin(res, healthy),
+		})
 	}
-	return nil
+	l.resTable, l.resHealthy, l.resVersion = table, healthy, prof.Version()
+	return table
+}
+
+// backlogGPUSeconds is minGPUSecondsWithin(res, healthy) read from the
+// current table; a tracked request's resolution is always profiled, so the
+// direct computation is only a fallback.
+func (l *Loop) backlogGPUSeconds(table []ResolutionDigest, res model.Resolution, healthy int) float64 {
+	if r, ok := lookupResolution(table, res); ok {
+		return r.MinGPUSeconds
+	}
+	return l.minGPUSecondsWithin(res, healthy)
+}
+
+func lookupResolution(table []ResolutionDigest, res model.Resolution) (ResolutionDigest, bool) {
+	for _, r := range table {
+		if r.Width == res.W && r.Height == res.H {
+			return r, true
+		}
+	}
+	return ResolutionDigest{}, false
+}
+
+// SameLoad reports whether d and o project identically at the same instant:
+// every field but Now agrees.
+func (d Digest) SameLoad(o Digest) bool {
+	return d.HealthyGPUs == o.HealthyGPUs && d.FreeGPUs == o.FreeGPUs &&
+		d.Pending == o.Pending && d.Running == o.Running &&
+		d.QueueGPUSeconds == o.QueueGPUSeconds &&
+		d.BoundaryWait == o.BoundaryWait && d.DispatchDelay == o.DispatchDelay &&
+		d.MaxCacheInterval == o.MaxCacheInterval && d.CachedStepRelCost == o.CachedStepRelCost &&
+		d.DefaultSteps == o.DefaultSteps && slices.Equal(d.Resolutions, o.Resolutions)
+}
+
+// Project is the feasibility projection for one request shape: the
+// Feasibility a probe at d.Now returns. It fails for a resolution the
+// digest has no row for.
+func (d Digest) Project(c ProbeClass) (Feasibility, error) {
+	r, ok := lookupResolution(d.Resolutions, c.Res)
+	if !ok {
+		return Feasibility{}, fmt.Errorf("control: %v not in profile", c.Res)
+	}
+	steps := c.Steps
+	if steps <= 0 {
+		steps = d.DefaultSteps
+	}
+	f := Feasibility{
+		Now:              d.Now,
+		Deadline:         d.Now + c.SLO,
+		HealthyGPUs:      d.HealthyGPUs,
+		FreeGPUs:         d.FreeGPUs,
+		Running:          d.Running,
+		MaxCacheInterval: d.MaxCacheInterval,
+		// Degrees the shard cannot form (profile calibrated on the full
+		// node, capacity elastically shrunk below it) are already out of
+		// the row, or a 2-GPU shard would promise 8-way step times it can
+		// never run.
+		MinStepTime:       r.MinStepTime,
+		MinStepDegree:     r.MinStepDegree,
+		ServiceGPUSeconds: float64(steps) * r.MinGPUSeconds,
+	}
+	if d.HealthyGPUs <= 0 {
+		// A fully failed pool can never win; pin the projection at the
+		// deadline horizon so Slack reports "late by the whole budget".
+		f.ProjectedStart = f.Deadline
+		f.ProjectedFinish = f.Deadline + c.SLO
+		f.Slack = f.Deadline - f.ProjectedFinish
+		f.CachedFinish = f.ProjectedFinish
+		return f, nil
+	}
+	f.Pending = d.Pending
+	f.QueueGPUSeconds = d.QueueGPUSeconds
+	queueWait := time.Duration(d.QueueGPUSeconds / float64(d.HealthyGPUs) * float64(time.Second))
+
+	f.ProjectedStart = d.Now + d.BoundaryWait + queueWait
+	f.ProjectedFinish = f.ProjectedStart + time.Duration(steps)*f.MinStepTime + d.DispatchDelay
+	f.Winnable = f.ProjectedFinish <= f.Deadline
+	f.Slack = f.Deadline - f.ProjectedFinish
+
+	// Cache-assisted projection: the same fluid bound with every
+	// approximable step (outside the protected first/last N, ignoring any
+	// per-request budget — the probed request is hypothetical and has none
+	// yet) served at the γ-discounted cost. With caching off this collapses
+	// to the plain projection exactly (a = 0 path is not taken; the fields
+	// are copied).
+	f.CachedFinish = f.ProjectedFinish
+	f.CachedWinnable = f.Winnable
+	if f.MaxCacheInterval > 1 {
+		a := sched.ApproxSteps(steps-2*sched.CacheProtectedSteps, f.MaxCacheInterval)
+		if a > 0 {
+			service := time.Duration(steps-a)*f.MinStepTime +
+				time.Duration(float64(a)*d.CachedStepRelCost*float64(f.MinStepTime))
+			f.CachedFinish = f.ProjectedStart + service + d.DispatchDelay
+			f.CachedWinnable = f.CachedFinish <= f.Deadline
+		}
+	}
+	return f, nil
 }
 
 // maxCacheInterval reports the scheduler's step-cache ceiling via an optional

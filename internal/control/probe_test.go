@@ -1,6 +1,7 @@
 package control
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"tetriserve/internal/costmodel"
 	"tetriserve/internal/engine"
 	"tetriserve/internal/model"
+	"tetriserve/internal/sched"
 	"tetriserve/internal/simgpu"
 	"tetriserve/internal/workload"
 )
@@ -151,7 +153,7 @@ func drain(t *testing.T, l *Loop, clk *clock.Virtual, probe func()) *Result {
 
 // TestProbeNeverMutatesLoopState is the router-facing no-mutation property:
 // two identical loops replay the same trace, one interleaving feasibility
-// probes of randomized shapes before every event; every outcome, run record
+// probes of randomized shapes and Digest snapshots before every event; every outcome, run record
 // count, plan-call count, and the planner's DP row counters must be
 // bit-identical. Pre-fix probes that planned speculatively (or touched the
 // decode queue) diverge here.
@@ -181,6 +183,10 @@ func TestProbeNeverMutatesLoopState(t *testing.T) {
 		res := shapes[rng.Intn(len(shapes))]
 		slo := time.Duration(rng.Intn(20_000)) * time.Millisecond
 		if _, err := probed.ProbeFeasibility(res, 0, slo); err != nil {
+			t.Fatal(err)
+		}
+		// A digest is a snapshot, and projecting it touches nothing either.
+		if _, err := probed.Digest().Project(ProbeClass{Res: res, SLO: slo}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -338,6 +344,191 @@ func TestProbeClassesMatchesProbeFeasibility(t *testing.T) {
 	}
 }
 
+// referenceProbe is the feasibility projection written out directly against
+// loop state, as ProbeFeasibility computed it before the digest existed:
+// the oracle the digest path must reproduce to the nanosecond, with the same
+// float operations in the same order.
+func referenceProbe(l *Loop, c ProbeClass) (Feasibility, error) {
+	if !l.cfg.Profile.Has(c.Res) {
+		return Feasibility{}, fmt.Errorf("control: %v not in profile", c.Res)
+	}
+	now := l.clk.Now()
+	healthy := l.eng.HealthyGPUs()
+	free := l.eng.Free()
+	var backlog float64
+	pending := 0
+	if healthy > 0 {
+		pending = len(l.queue)
+		for _, st := range l.queue {
+			backlog += float64(st.Remaining) * l.minGPUSecondsWithin(st.Req.Res, healthy)
+		}
+		for _, st := range l.running {
+			if st.Remaining > 0 {
+				backlog += float64(st.Remaining) * l.minGPUSecondsWithin(st.Req.Res, healthy)
+			}
+		}
+	}
+	var boundary time.Duration
+	if l.roundBased && !(l.eager && free != 0) {
+		boundary = l.tau
+	}
+	steps := c.Steps
+	if steps <= 0 {
+		steps = l.cfg.Model.DefaultSteps
+	}
+	f := Feasibility{
+		Now: now, Deadline: now + c.SLO,
+		HealthyGPUs: healthy, FreeGPUs: free.Count(), Running: len(l.running),
+		MaxCacheInterval: l.maxCacheInterval(),
+	}
+	f.MinStepTime, f.MinStepDegree = l.minStepTimeWithin(c.Res, healthy)
+	f.ServiceGPUSeconds = float64(steps) * l.minGPUSecondsWithin(c.Res, healthy)
+	if healthy <= 0 {
+		f.ProjectedStart = f.Deadline
+		f.ProjectedFinish = f.Deadline + c.SLO
+		f.Slack = f.Deadline - f.ProjectedFinish
+		f.CachedFinish = f.ProjectedFinish
+		return f, nil
+	}
+	f.Pending = pending
+	f.QueueGPUSeconds = backlog
+	queueWait := time.Duration(backlog / float64(healthy) * float64(time.Second))
+	f.ProjectedStart = now + boundary + queueWait
+	f.ProjectedFinish = f.ProjectedStart + time.Duration(steps)*f.MinStepTime + l.dispatchDelay()
+	f.Winnable = f.ProjectedFinish <= f.Deadline
+	f.Slack = f.Deadline - f.ProjectedFinish
+	f.CachedFinish = f.ProjectedFinish
+	f.CachedWinnable = f.Winnable
+	if f.MaxCacheInterval > 1 {
+		if a := sched.ApproxSteps(steps-2*sched.CacheProtectedSteps, f.MaxCacheInterval); a > 0 {
+			gamma := l.cfg.Profile.CachedStepRelCost()
+			service := time.Duration(steps-a)*f.MinStepTime +
+				time.Duration(float64(a)*gamma*float64(f.MinStepTime))
+			f.CachedFinish = f.ProjectedStart + service + l.dispatchDelay()
+			f.CachedWinnable = f.CachedFinish <= f.Deadline
+		}
+	}
+	return f, nil
+}
+
+// TestDigestProjectMatchesReferenceProbe: over random loop states — pending
+// and running work, shrunk capacity, failed GPUs up to the whole pool, cache
+// interval 4, eager admission on and off, a profile extended mid-run —
+// Digest().Project equals the direct projection field for field, to the
+// nanosecond, and ProbeFeasibility agrees. A shape the profile lacks is an
+// error on both paths.
+func TestDigestProjectMatchesReferenceProbe(t *testing.T) {
+	mdl := model.FLUX()
+	topo := simgpu.H100x8()
+	est := costmodel.NewEstimator(mdl, topo)
+	shapes := append(model.StandardResolutions(), model.Resolution{W: 48, H: 48})
+	extra := model.Resolution{W: 640, H: 640}
+	rng := rand.New(rand.NewSource(37))
+	var saw struct{ pending, running, shrunk, dead, cached, lazy, extended, unknown bool }
+
+	for trial := 0; trial < 80; trial++ {
+		prof := costmodel.BuildProfile(est, costmodel.ProfilerConfig{})
+		coreCfg := core.DefaultConfig()
+		if trial%2 == 1 {
+			coreCfg.MaxCacheInterval = 4
+		}
+		coreCfg.EagerAdmission = trial%4 < 2
+		engCfg := engine.DefaultConfig()
+		if trial%3 == 1 {
+			engCfg.Capacity = simgpu.MaskRange(0, 1+rng.Intn(4))
+		}
+		clk := clock.NewVirtual()
+		l, err := New(Config{
+			Model: mdl, Topo: topo, Profile: prof, Engine: engCfg,
+			Scheduler: core.NewScheduler(prof, topo, coreCfg),
+		}, clk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range workload.Generate(workload.GeneratorConfig{
+			Model: mdl, Seed: uint64(trial + 1), NumRequests: 10 + rng.Intn(60),
+			Arrivals: workload.NewBurstyArrivals(60 + float64(rng.Intn(240))),
+		}) {
+			l.ScheduleArrival(r)
+		}
+		check := func(stage string) {
+			t.Helper()
+			d := l.Digest()
+			for _, res := range append(shapes, extra) {
+				c := ProbeClass{
+					Res:   res,
+					Steps: rng.Intn(3) * 25,
+					SLO:   time.Duration(rng.Intn(40_000_000)) * time.Microsecond,
+				}
+				want, werr := referenceProbe(l, c)
+				got, gerr := d.Project(c)
+				probed, perr := l.ProbeFeasibility(c.Res, c.Steps, c.SLO)
+				if (werr != nil) != (gerr != nil) || (werr != nil) != (perr != nil) {
+					t.Fatalf("trial %d %s %v: errors differ: reference %v, digest %v, probe %v",
+						trial, stage, res, werr, gerr, perr)
+				}
+				if werr != nil {
+					saw.unknown = true
+					continue
+				}
+				if got != want || probed != want {
+					t.Fatalf("trial %d %s %+v:\n  reference: %+v\n  digest:    %+v\n  probe:     %+v",
+						trial, stage, c, want, got, probed)
+				}
+				saw.pending = saw.pending || want.Pending > 0
+				saw.running = saw.running || want.Running > 0
+				saw.shrunk = saw.shrunk || (want.HealthyGPUs > 0 && want.HealthyGPUs < topo.N)
+				saw.dead = saw.dead || want.HealthyGPUs == 0
+				saw.cached = saw.cached || want.CachedFinish < want.ProjectedFinish
+				saw.lazy = saw.lazy || (!coreCfg.EagerAdmission && want.FreeGPUs > 0)
+				saw.extended = saw.extended || res == extra
+			}
+		}
+		for n := rng.Intn(400); n > 0 && l.Unfinished() > 0; n-- {
+			ev := l.PopEvent()
+			if ev == nil {
+				break
+			}
+			clk.Advance(ev.At)
+			if err := l.Dispatch(ev); err != nil {
+				t.Fatal(err)
+			}
+			if n%50 == 0 {
+				check("mid-run")
+			}
+		}
+		switch trial % 5 {
+		case 2:
+			l.Fail(simgpu.MaskOf(simgpu.GPUID(rng.Intn(topo.N))))
+		case 4:
+			l.Fail(topo.AllMask())
+		}
+		check("after faults")
+		if trial%7 == 3 {
+			prof.Extend(est, extra) // the driver's on-demand profiling path
+			check("after profile extension")
+		}
+	}
+	if !saw.pending || !saw.running || !saw.shrunk || !saw.dead || !saw.cached || !saw.lazy || !saw.extended || !saw.unknown {
+		t.Fatalf("sweep missed a state: %+v", saw)
+	}
+}
+
+// SameLoad ignores Now and nothing else.
+func TestDigestSameLoad(t *testing.T) {
+	l, clk, _ := newProbeLoop(t)
+	a := l.Digest()
+	clk.Advance(time.Second)
+	b := l.Digest()
+	if a.Now == b.Now || !a.SameLoad(b) {
+		t.Fatalf("a clock move alone must keep the load: %+v vs %+v", a, b)
+	}
+	l.Arrive(&workload.Request{ID: 1, Res: model.Res512, Steps: 50, SLO: time.Minute})
+	if c := l.Digest(); c.SameLoad(b) {
+		t.Fatalf("an arrival must change the load: %+v", c)
+	}
+}
+
 // An unprofiled class fails the whole call and fills nothing.
 func TestProbeClassesUnprofiledClassErrors(t *testing.T) {
 	l, _, _ := newProbeLoop(t)
@@ -354,9 +545,48 @@ func TestProbeClassesUnprofiledClassErrors(t *testing.T) {
 	}
 }
 
+// BenchmarkDigestProject prices what a remote router pays per shard and
+// decision: projecting the four standard classes from a digest already in
+// hand. It must not allocate.
+func BenchmarkDigestProject(b *testing.B) {
+	l := loadedBenchLoop(b)
+	d := l.Digest()
+	var classes []ProbeClass
+	for _, res := range model.StandardResolutions() {
+		classes = append(classes, ProbeClass{Res: res, SLO: 10 * time.Second})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range classes {
+			if _, err := d.Project(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkProbeClasses prices one rebalancer-style probe of the four
 // standard classes against a loaded 8-GPU loop.
 func BenchmarkProbeClasses(b *testing.B) {
+	l := loadedBenchLoop(b)
+	var classes []ProbeClass
+	for _, res := range model.StandardResolutions() {
+		classes = append(classes, ProbeClass{Res: res, SLO: 10 * time.Second})
+	}
+	out := make([]Feasibility, len(classes))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := l.ProbeClasses(classes, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// loadedBenchLoop is an 8-GPU loop 300 events into a bursty 200-request
+// trace.
+func loadedBenchLoop(b *testing.B) *Loop {
 	mdl := model.FLUX()
 	topo := simgpu.H100x8()
 	prof := costmodel.BuildProfile(costmodel.NewEstimator(mdl, topo), costmodel.ProfilerConfig{})
@@ -380,16 +610,5 @@ func BenchmarkProbeClasses(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	var classes []ProbeClass
-	for _, res := range model.StandardResolutions() {
-		classes = append(classes, ProbeClass{Res: res, SLO: 10 * time.Second})
-	}
-	out := make([]Feasibility, len(classes))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := l.ProbeClasses(classes, out); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return l
 }

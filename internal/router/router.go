@@ -5,7 +5,11 @@
 //
 // The router consults the cost model, not queue depth: every shard exposes
 // the control plane's read-only feasibility probe (projected queue-aware
-// finish time vs. deadline, control.Feasibility), and the router
+// finish time vs. deadline, control.Feasibility). An in-process shard
+// answers on its loop goroutine; a remote shard's client answers from the
+// load digest (control.Digest) its shard streams, exact until the shard's
+// next loop event, and probes over HTTP only when it has no current digest.
+// The router
 //
 //   - routes to the winnable shard with the most deadline slack (ties break
 //     to the lowest shard index, keeping decisions deterministic);
@@ -36,7 +40,8 @@ import (
 // Shard is one control-plane pool the router can place requests on. Probe
 // implementations must be safe to call from the router's goroutine(s): the
 // in-process driver funnels the call onto its loop goroutine, the sim
-// harness is single-threaded, and remote shards answer over HTTP.
+// harness is single-threaded, and remote shards answer from their streamed
+// digest or over HTTP.
 type Shard interface {
 	Name() string
 	ProbeFeasibility(res model.Resolution, steps int, slo time.Duration) (control.Feasibility, error)

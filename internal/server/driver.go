@@ -148,6 +148,10 @@ type Driver struct {
 	resizec chan resizeCmd
 	snapc   chan chan *control.Result
 	probec  chan probeCmd
+	// digestc carries a new digest subscriber's mailbox to the loop, which
+	// fills it with the current digest.
+	digestc chan chan ShardDigest
+	digests digestFeed
 	stop    chan struct{}
 	// stopped closes after the loop goroutine has published its final
 	// result snapshot.
@@ -212,6 +216,7 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 		resizec: make(chan resizeCmd, 16),
 		snapc:   make(chan chan *control.Result),
 		probec:  make(chan probeCmd),
+		digestc: make(chan chan ShardDigest),
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
 		jobs:    make(map[workload.RequestID]*Job),
@@ -648,6 +653,7 @@ func (d *Driver) loop() {
 		d.mu.Lock()
 		d.final = ctl.SnapshotResult()
 		d.mu.Unlock()
+		d.digests.closeAll()
 		close(d.stopped)
 	}()
 
@@ -719,6 +725,7 @@ func (d *Driver) loop() {
 				req.QualityBudget = int(f * float64(job.Steps))
 			}
 			ctl.Arrive(req)
+			d.digests.arrive(job.ID)
 		case cmd := <-d.faultc:
 			if cmd.recover {
 				ctl.Recover(cmd.mask)
@@ -732,6 +739,8 @@ func (d *Driver) loop() {
 		case cmd := <-d.probec:
 			feas, err := ctl.ProbeFeasibility(cmd.res, cmd.steps, cmd.slo)
 			cmd.reply <- probeReply{feas: feas, err: err}
+		case box := <-d.digestc:
+			d.digests.publish(ctl, d.cfg.Speedup, box)
 		case <-wake:
 			for {
 				next := ctl.NextEvent()
@@ -745,5 +754,6 @@ func (d *Driver) loop() {
 			}
 		}
 		syncTelemetry()
+		d.digests.publish(ctl, d.cfg.Speedup, nil)
 	}
 }

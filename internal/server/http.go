@@ -28,6 +28,11 @@ import (
 //	GET  /v1/stats                → Stats
 //	GET  /v1/profile              → offline-profiled step times
 //	POST /v1/probe                {width, height, steps?, slo_ms} → feasibility
+//	GET  /v1/digest               → the loop's load digest (ShardDigest): the
+//	                                feasibility projection's inputs, exact
+//	                                until the loop's next event
+//	GET  /v1/digest?follow=1      → NDJSON stream: a digest whenever its load
+//	                                changes (remote routers project from it)
 //	POST /v1/faults               {fail_gpus?, recover_gpus?} → Stats
 //	POST /v1/resize               {gpus:[ids]} | {num_gpus:N} → Stats
 //	GET  /v1/trace                → JSONL event log (same format as tetrisim export)
@@ -66,6 +71,7 @@ func (a *API) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", a.handleStats)
 	mux.HandleFunc("GET /v1/profile", a.handleProfile)
 	mux.HandleFunc("POST /v1/probe", a.handleProbe)
+	mux.HandleFunc("GET /v1/digest", a.handleDigest)
 	mux.HandleFunc("POST /v1/faults", a.handleFaults)
 	mux.HandleFunc("POST /v1/resize", a.handleResize)
 	mux.HandleFunc("GET /v1/trace", a.handleTrace)
@@ -189,6 +195,12 @@ type FeasibilityView struct {
 	FreeGPUs          int     `json:"free_gpus"`
 	MinStepUS         int64   `json:"min_step_us"`
 	MinStepDegree     int     `json:"min_step_degree"`
+	// MaxCacheInterval, CachedFinishUS and CachedWinnable carry the
+	// step-cache projection (they mirror the plain one on a cache-oblivious
+	// shard), so a remote shard can win a cache-assisted admission.
+	MaxCacheInterval int   `json:"max_cache_interval"`
+	CachedFinishUS   int64 `json:"cached_finish_us"`
+	CachedWinnable   bool  `json:"cached_winnable"`
 }
 
 // NewFeasibilityView converts a probe result for the wire.
@@ -208,6 +220,9 @@ func NewFeasibilityView(f control.Feasibility) FeasibilityView {
 		FreeGPUs:          f.FreeGPUs,
 		MinStepUS:         f.MinStepTime.Microseconds(),
 		MinStepDegree:     f.MinStepDegree,
+		MaxCacheInterval:  f.MaxCacheInterval,
+		CachedFinishUS:    f.CachedFinish.Microseconds(),
+		CachedWinnable:    f.CachedWinnable,
 	}
 }
 
@@ -229,6 +244,9 @@ func (v FeasibilityView) Feasibility() control.Feasibility {
 		FreeGPUs:          v.FreeGPUs,
 		MinStepTime:       time.Duration(v.MinStepUS) * time.Microsecond,
 		MinStepDegree:     v.MinStepDegree,
+		MaxCacheInterval:  v.MaxCacheInterval,
+		CachedFinish:      time.Duration(v.CachedFinishUS) * time.Microsecond,
+		CachedWinnable:    v.CachedWinnable,
 	}
 }
 

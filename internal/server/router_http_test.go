@@ -348,6 +348,7 @@ func TestRouterOverRemoteShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer api.Close() // before shardSrv.Close, which waits for the digest stream
 	ts := httptest.NewServer(api.Handler())
 	defer ts.Close()
 

@@ -106,13 +106,22 @@ func (s *RemoteShard) Resize(n int) error {
 	return s.post("/v1/resize", ResizeRequest{NumGPUs: n}, &st)
 }
 
-// RemoteShard speaks the shard API (POST /v1/probe, POST
-// /v1/images/generations) of a tetriserve daemon running in -mode shard.
+// RemoteShard speaks the shard API of a tetriserve daemon running in -mode
+// shard. It answers feasibility probes locally, from the load digest the
+// shard streams (GET /v1/digest?follow=1): the digest is exact until the
+// shard's next loop event, so the common admission makes one HTTP call, its
+// submit. It falls back to POST /v1/probe while it has no live digest, while
+// a job it submitted is not in the digest yet (the watermark), and for a
+// resolution the digest has no row for. The first successful HTTP probe
+// starts the stream; a stream that ends is reconnected once. Close stops it.
 type RemoteShard struct {
 	ShardName string
 	BaseURL   string
-	// Client defaults to a 10 s-timeout http.Client.
+	// Client defaults to a 10 s-timeout http.Client; the digest stream uses
+	// a copy without the timeout.
 	Client *http.Client
+
+	dg digestState
 }
 
 // NewRemoteShard builds a remote shard client; the name defaults to the URL.
@@ -187,8 +196,13 @@ func (s *RemoteShard) do(method, path string, hdr map[string]string, in, out any
 	return json.Unmarshal(data, out)
 }
 
-// ProbeFeasibility implements router.Shard over HTTP.
+// ProbeFeasibility implements router.Shard: from the shard's digest when it
+// can stand in for the shard, over HTTP (POST /v1/probe) otherwise.
 func (s *RemoteShard) ProbeFeasibility(res model.Resolution, steps int, slo time.Duration) (control.Feasibility, error) {
+	if f, ok := s.project(res, steps, slo); ok {
+		s.answered(true)
+		return f, nil
+	}
 	var v FeasibilityView
 	err := s.post("/v1/probe", ProbeRequest{
 		Width: res.W, Height: res.H, Steps: steps, SLOMillis: slo.Milliseconds(),
@@ -196,6 +210,8 @@ func (s *RemoteShard) ProbeFeasibility(res model.Resolution, steps int, slo time
 	if err != nil {
 		return control.Feasibility{}, err
 	}
+	s.answered(false)
+	s.follow()
 	return v.Feasibility(), nil
 }
 
@@ -213,6 +229,9 @@ func (s *RemoteShard) SubmitTraced(prompt workload.Prompt, res model.Resolution,
 		GenerateRequest{
 			Prompt: prompt.Text, Width: res.W, Height: res.H, SLOMillis: slo.Milliseconds(),
 		}, &job)
+	if err == nil {
+		s.submittedJob(job.ID)
+	}
 	return job, err
 }
 
@@ -298,7 +317,26 @@ func NewRouterAPI(cfg router.Config, shards []RouterShard) (*RouterAPI, error) {
 		return nil, err
 	}
 	a.rt = rt
+	answers := a.plane.Registry.CounterVec("tetriserve_router_projections_total",
+		"Feasibility answers from remote shards, by shard and source (digest: computed from the shard's streamed load digest; probe: an HTTP probe).",
+		"shard", "source")
+	for _, s := range shards {
+		if rs, ok := s.(*RemoteShard); ok {
+			rs.countProjections(answers.With(s.Name(), "digest"), answers.With(s.Name(), "probe"))
+		}
+	}
 	return a, nil
+}
+
+// Close stops every remote shard's digest stream and waits for it. Call it
+// before the shards' servers go away: an httptest server's Close waits for
+// the stream handlers.
+func (a *RouterAPI) Close() {
+	for _, s := range a.shards {
+		if c, ok := s.(interface{ Close() }); ok {
+			c.Close()
+		}
+	}
 }
 
 // Router exposes the underlying router (stats, tests).

@@ -153,6 +153,20 @@ reachable=$(grep -o '"reachable":true' "$TMP/fleet.json" | wc -l)
 grep -q '"gpu_counts":\[8,8\]' "$TMP/fleet.json" || {
   echo "fleet rebalancer view: $(cat "$TMP/fleet.json")" >&2; exit 1; }
 
+echo "== a second routed request is answered from the shards' digests =="
+# The first request's HTTP probes started each shard's digest stream; from
+# then on the router projects feasibility locally.
+curl -fsS -X POST "$ROUTER_BASE/v1/generate" \
+  -H 'Content-Type: application/json' \
+  -d '{"prompt":"fleet smoke again","width":512,"height":512,"slo_ms":30000,"tenant":"smoke"}' \
+  >/dev/null
+curl -fsS "$ROUTER_BASE/metrics" >"$TMP/router_metrics.txt"
+from_digest=$(awk '/^tetriserve_router_projections_total\{.*source="digest"/ {s += $2} END {print s+0}' "$TMP/router_metrics.txt")
+[ "${from_digest%.*}" -gt 0 ] || {
+  echo "router made no digest-sourced projections:" >&2
+  grep tetriserve_router_projections_total "$TMP/router_metrics.txt" >&2; exit 1; }
+echo "   $from_digest digest-sourced projections"
+
 echo "== tetrictl trace / fleet / top -shards =="
 "$TMP/tetrictl" -server "$ROUTER_BASE" trace "$trace"
 "$TMP/tetrictl" -server "$ROUTER_BASE" fleet
