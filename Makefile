@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-test check fuzz cover obs-smoke
+.PHONY: build vet test race bench bench-test check fuzz cover obs-smoke goldens
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,12 @@ bench:
 bench-test:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+# Regenerate the goldens a behavioural change moves: the experiment tables
+# and the option census. Review the result as one `git diff`.
+goldens:
+	$(GO) test ./internal/experiments -run TestGoldenTables -update
+	$(GO) test . -run TestOptionCensus -update
 
 # Short randomized sweep of the invariant fuzz targets (the committed
 # seed corpus under internal/invariant/testdata/fuzz replays in the plain

@@ -10,15 +10,10 @@ import (
 	"tetriserve/internal/workload"
 )
 
-// Lane and batching caps: one value each in use outside tests (DESIGN §6).
+// Batching caps: one value each in use outside tests (DESIGN §6).
 const (
-	// bestEffortGPUs caps the late lane's total GPUs per round so lingering
-	// late requests cannot starve on-time ones ("without impacting other
-	// requests", §4.2.2); elastic scale-up may still grow them when GPUs
-	// idle. At 8, sim-backlog's sar_offered falls from 0.384 to 0.215.
-	bestEffortGPUs = 2
-	maxBatch       = 4    // continuous-batching width (§5)
-	batchTokenCap  = 1024 // batch only ≤ 512×512: larger requests already fill a GPU
+	maxBatch      = 4    // continuous-batching width (§5)
+	batchTokenCap = 1024 // batch only ≤ 512×512: larger requests already fill a GPU
 )
 
 // placed is an in-progress assignment before final emission. Instances live
@@ -50,15 +45,14 @@ type placed struct {
 // admission of unselected requests, the best-effort lane for late requests,
 // and elastic scale-up across all of them. The returned plan lives in the
 // scheduler's scratch and is valid until the next Plan call.
-func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*candidate, late []*sched.RequestState) []sched.Assignment {
+func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*candidate, late *sched.RequestState) []sched.Assignment {
 	sc := &s.scratch
 	free := ctx.Free
 
 	// The placement arena must never reallocate once pointers are taken:
 	// each candidate is placed at most once (DP pass or work-conserving
-	// admission, never both) and the best-effort lane adds at most
-	// bestEffortGPUs blocks, one per GPU of its budget.
-	if need := len(cands) + bestEffortGPUs; cap(sc.placed) < need {
+	// admission, never both) and the best-effort lane adds at most one block.
+	if need := len(cands) + 1; cap(sc.placed) < need {
 		sc.placed = make([]placed, 0, need)
 	}
 	sc.placed = sc.placed[:0]
@@ -117,36 +111,18 @@ func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*
 		sc.placedPtr = append(sc.placedPtr, p)
 	}
 
-	// --- Best-effort lane for definitely-late requests (§4.2.2): at most
-	// one GPU each, from leftovers only, scaled up later if GPUs idle. ---
-	if s.cfg.BestEffortLane {
-		window := s.window()
-		// Budget the lane: already-running late blocks (multi-round SP=1
-		// blocks from earlier rounds) count against the cap so stragglers
-		// cannot starve on-time requests of capacity.
-		budget := bestEffortGPUs
-		for _, st := range ctx.Running {
-			if s.definitelyLate(ctx.Profile, st, ctx.Now) {
-				budget--
-			}
-		}
-		if cap(sc.lateArena) < bestEffortGPUs {
-			sc.lateArena = make([]candidate, 0, bestEffortGPUs)
-		}
-		sc.lateArena = sc.lateArena[:0]
-		// late holds the partition's picks, earliest deadline first with
-		// ties in pending order, and no more than the lane's cap.
-		for _, st := range late {
-			if budget <= 0 || free.Count() == 0 {
-				break
-			}
-			budget--
-			g := sched.AlignedGroup(ctx.Topo, free, 1, st.LastGroup)
-			if g == 0 {
-				break
-			}
-			t := ctx.Profile.StepTime(st.Req.Res, 1)
-			q := int(window / t)
+	// --- Best-effort lane for definitely-late requests (§4.2.2): one block
+	// a round on one leftover GPU, scaled up later if GPUs idle. The cap
+	// counts blocks, not GPUs: a definitely-late request still running from
+	// an earlier round holds the lane however far scale-up grew its block,
+	// so stragglers cannot starve on-time requests of capacity. Two lane
+	// blocks could each grow only to half the node, where a 2048² block
+	// fills about 70 % of a round; one grows to SP=8, which fills it
+	// (DESIGN §6). ---
+	if s.cfg.BestEffortLane && late != nil && free != 0 && !s.lateRunning(ctx) {
+		if g := sched.AlignedGroup(ctx.Topo, free, 1, late.LastGroup); g != 0 {
+			t := ctx.Profile.StepTime(late.Req.Res, 1)
+			q := int(s.window() / t)
 			aligned := true
 			if q < 1 {
 				// A single step exceeds the round: run it as a
@@ -154,13 +130,13 @@ func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*
 				q = 1
 				aligned = false
 			}
-			if q > st.Remaining {
-				q = st.Remaining
+			if q > late.Remaining {
+				q = late.Remaining
 			}
 			free = free.Without(g)
-			sc.lateArena = append(sc.lateArena, candidate{st: st})
+			sc.lateCand = candidate{st: late}
 			sc.placed = append(sc.placed, placed{
-				cand:       &sc.lateArena[len(sc.lateArena)-1],
+				cand:       &sc.lateCand,
 				degree:     1,
 				steps:      q,
 				stepTime:   t,
@@ -211,6 +187,17 @@ func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*
 	}
 	sc.plan = plan
 	return plan
+}
+
+// lateRunning reports whether a running request is definitely late; its
+// block holds the best-effort lane.
+func (s *Scheduler) lateRunning(ctx *sched.PlanContext) bool {
+	for _, st := range ctx.Running {
+		if s.definitelyLate(ctx.Profile, st, ctx.Now) {
+			return true
+		}
+	}
+	return false
 }
 
 // place maps a (candidate, degree) onto a concrete free group, degrading to

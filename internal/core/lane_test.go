@@ -33,9 +33,10 @@ func lateBacklogCtx(depth int) *sched.PlanContext {
 	return mkCtx(reqs[len(reqs)-1].Arrival, testTopo.AllMask(), pending...)
 }
 
-// TestLateLaneMatchesStableSortPrefix: the best-effort lane's picks, in
-// order, are the prefix of the late set stable-sorted by deadline — ties go
-// to pending order — for every lane budget and free-GPU count.
+// TestLateLaneMatchesStableSortPrefix: the best-effort lane's one pick is
+// the head of the late set stable-sorted by deadline — the first minimum in
+// pending order — whenever the lane is free, and nothing when a late block
+// runs or no GPU is free.
 func TestLateLaneMatchesStableSortPrefix(t *testing.T) {
 	rng := stats.NewRNG(33)
 	resList := model.StandardResolutions()
@@ -52,8 +53,8 @@ func TestLateLaneMatchesStableSortPrefix(t *testing.T) {
 			pending = append(pending, mkState(i+1, resList[rng.Intn(len(resList))],
 				1+rng.Intn(50), arrival, deadline-arrival))
 		}
-		// Already-running late blocks take the lane budget from 2 down to 0.
-		running := make([]*sched.RequestState, rng.Intn(4))
+		// An already-running late block holds the lane.
+		running := make([]*sched.RequestState, rng.Intn(2))
 		for i := range running {
 			running[i] = mkState(1000+i, resList[rng.Intn(len(resList))], 10, 0, time.Second)
 		}
@@ -75,7 +76,10 @@ func TestLateLaneMatchesStableSortPrefix(t *testing.T) {
 		slices.SortStableFunc(ref, func(a, b *sched.RequestState) int {
 			return cmp.Compare(a.Deadline(), b.Deadline())
 		})
-		picks := min(max(bestEffortGPUs-len(running), 0), free.Count(), len(ref))
+		picks := 0
+		if len(running) == 0 && free != 0 && len(ref) > 0 {
+			picks = 1
+		}
 		want := make([]workload.RequestID, picks)
 		for i := range want {
 			want[i] = ref[i].Req.ID

@@ -234,7 +234,7 @@ func (s *Scheduler) Plan(ctx *sched.PlanContext) []sched.Assignment {
 	sc := &s.scratch
 
 	// Partition pending requests into active and definitely-late, picking
-	// the best-effort lane's requests on the way.
+	// the best-effort lane's request on the way.
 	s.partition(ctx)
 
 	// Stage 1: deadline-aware minimal-GPU-hour allocation per request.
@@ -256,7 +256,7 @@ func (s *Scheduler) Plan(ctx *sched.PlanContext) []sched.Assignment {
 	chosen := s.packDP(s.pruneCandidates(sc.cands), capGPUs)
 
 	// Stage 3: placement, batching, elastic scale-up, best-effort lane.
-	return s.assemble(ctx, chosen, sc.cands, sc.late[:sc.nLate])
+	return s.assemble(ctx, chosen, sc.cands, sc.late)
 }
 
 var _ sched.Scheduler = (*Scheduler)(nil)

@@ -33,14 +33,13 @@ type mixKey struct {
 
 // planScratch is the arena reused across Plan calls.
 type planScratch struct {
-	// Stage 0: request partition. late[:nLate] are the best-effort lane's
-	// picks, not the whole late set: the bestEffortGPUs earliest-deadline
-	// definitely-late requests, ties in pending order, with their deadlines
-	// in lateDue.
+	// Stage 0: request partition. late is the best-effort lane's pick, not
+	// the whole late set: the earliest-deadline definitely-late request,
+	// ties to the first in pending order, with its deadline in lateDue; nil
+	// when no pending request is definitely late.
 	active  []*sched.RequestState
-	late    [bestEffortGPUs]*sched.RequestState
-	lateDue [bestEffortGPUs]time.Duration
-	nLate   int
+	late    *sched.RequestState
+	lateDue time.Duration
 
 	// Stage 1: candidate construction.
 	candArena []candidate
@@ -58,9 +57,9 @@ type planScratch struct {
 	// memo epoch: reset only when the profile identity/version moves. The
 	// planner asks for one once per pending request per round (late
 	// partition), once more per active request (candidate survival bounds),
-	// once per running request (lane budget) and once per allocation-memo
-	// miss; a profile holds a handful of
-	// resolutions, so a short scan finds the entry without hashing a key.
+	// once per running request up to the first late one (lane cap) and once
+	// per allocation-memo miss; a profile holds a handful of resolutions, so
+	// a short scan finds the entry without hashing a key.
 	resMemo []resMemo
 
 	// Stage 2: DP state. dp/next are the rolling pair of value rows; choice
@@ -71,12 +70,13 @@ type planScratch struct {
 	dpCands  []*candidate
 
 	// Stage 3: assembly. placed is the arena all *placed pointers index
-	// into; memberArena backs the per-host continuous-batching member
-	// slices; ids backs the emitted Assignment.Requests slices.
+	// into; lateCand is the lane block's candidate; memberArena backs the
+	// per-host continuous-batching member slices; ids backs the emitted
+	// Assignment.Requests slices.
 	ordered     []selection
 	placed      []placed
 	placedPtr   []*placed
-	lateArena   []candidate
+	lateCand    candidate
 	unplaced    []*candidate
 	batchable   []*placed
 	memberArena []*candidate
@@ -104,8 +104,7 @@ type resMemo struct {
 func (s *Scheduler) beginPlan(prof *costmodel.Profile) {
 	sc := &s.scratch
 	sc.active = sc.active[:0]
-	sc.late = [bestEffortGPUs]*sched.RequestState{}
-	sc.nLate = 0
+	sc.late = nil
 	sc.cands = sc.cands[:0]
 	s.ensureMemo(prof)
 	clear(sc.mixMemo)
@@ -180,7 +179,7 @@ func (s *Scheduler) definitelyLate(prof *costmodel.Profile, st *sched.RequestSta
 }
 
 // partition splits ctx.Pending into the active set and the definitely-late
-// requests, keeping of the latter only the lane's picks (pickLate).
+// requests, keeping of the latter only the lane's pick.
 //
 // With caching off a late verdict is stamped on the request
 // (sched.LateMark) and reused while the profile, its version and Remaining
@@ -209,10 +208,11 @@ func (s *Scheduler) partition(ctx *sched.PlanContext) {
 			sc.active = append(sc.active, st)
 			continue
 		}
-		// Most late requests rank behind a full set of picks; test that
-		// here, where the call costs nothing.
-		if sc.nLate < len(sc.late) || due < sc.lateDue[len(sc.late)-1] {
-			sc.pickLate(st, due)
+		// The lane's pick is the first minimum by deadline: partition
+		// offers in pending order and a tie never displaces the pick, so
+		// it heads the late set stable-sorted by deadline.
+		if sc.late == nil || due < sc.lateDue {
+			sc.late, sc.lateDue = st, due
 		}
 	}
 }
@@ -222,25 +222,6 @@ func (s *Scheduler) partition(ctx *sched.PlanContext) {
 func lateMarkHolds(st *sched.RequestState, prof *costmodel.Profile, version uint64, now time.Duration) bool {
 	m := &st.Late
 	return m.Prof == prof && m.Version == version && m.Remaining == st.Remaining && now >= m.At
-}
-
-// pickLate inserts a definitely-late request into the lane's picks, which
-// must have room for it or rank it ahead of their last. A fixed-size
-// insertion keeps the bestEffortGPUs earliest deadlines in order; a tie goes
-// to the earlier offer (partition offers in pending order and never lets a
-// tie displace the last pick), so the picks equal the prefix of the late
-// set stable-sorted by deadline.
-func (sc *planScratch) pickLate(st *sched.RequestState, due time.Duration) {
-	n := sc.nLate
-	if n == len(sc.late) {
-		n-- // the last pick falls out
-	}
-	i := n
-	for ; i > 0 && due < sc.lateDue[i-1]; i-- {
-		sc.late[i], sc.lateDue[i] = sc.late[i-1], sc.lateDue[i-1]
-	}
-	sc.late[i], sc.lateDue[i] = st, due
-	sc.nLate = n + 1
 }
 
 // putMix1 / putMix2 materialize a mix into the per-plan slab, returning a

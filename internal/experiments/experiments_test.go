@@ -6,7 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"tetriserve/internal/control"
+	"tetriserve/internal/engine"
+	"tetriserve/internal/sim"
 	"tetriserve/internal/tablefmt"
+	"tetriserve/internal/workload"
 )
 
 // quickCtx keeps experiment tests fast.
@@ -305,9 +309,12 @@ func TestTable4TransferNegligible(t *testing.T) {
 }
 
 // TestFault1RequeueBeatsAblation is the failure sweep's acceptance claim: a
-// faulted simulation completes without panicking, and the requeue recovery
-// yields strictly higher SAR than the no-requeue ablation at every fault
-// count.
+// faulted simulation completes without panicking at every fault count, and
+// on the sweep's own trace the requeue recovers every fault victim while the
+// no-requeue ablation drops each one. Requeue wins by construction only when
+// a victim can still meet its SLO once requeued (sim's
+// TestRequeueRescuesVictimByConstruction); on this trace the one victim, a
+// 2048² block, misses in both arms, so the two arms' SAR is not compared.
 func TestFault1RequeueBeatsAblation(t *testing.T) {
 	ctx := quickCtx()
 	ctx.NumRequests = 120
@@ -316,32 +323,60 @@ func TestFault1RequeueBeatsAblation(t *testing.T) {
 	if len(tables) != 2 {
 		t.Fatalf("fault1 emitted %d tables, want sweep + ablation", len(tables))
 	}
-	sweep, ablation := tables[0], tables[1]
 
 	// TetriServe must survive (not stall) at every fault count in the sweep.
-	for _, row := range sweep.Rows {
+	for _, row := range tables[0].Rows {
 		if row[0] == "TetriServe" && row[2] == "stalled" {
 			t.Fatalf("TetriServe stalled at %s faults; round-based recovery must never deadlock", row[1])
 		}
 	}
 
-	sar := func(name, faults string) float64 {
-		for _, row := range ablation.Rows {
-			if row[0] == name && row[1] == faults {
-				v, err := strconv.ParseFloat(row[2], 64)
-				if err != nil {
-					t.Fatalf("ablation SAR cell %q: %v", row[2], err)
-				}
-				return v
+	ctx = ctx.withDefaults()
+	f := fix("flux-h100")
+	reqs := trace(ctx, f, workload.UniformMix(), nil, 1.5)
+	for faults := 1; faults <= 2; faults++ {
+		for _, noRequeue := range []bool{false, true} {
+			cfg := faultCellConfig(ctx, f, newTetri(f), reqs, failureFaults(ctx, faults), noRequeue)
+			// executed sums each request's finished steps: whole blocks
+			// that retired plus the prefix credited when a fault aborted one.
+			executed := map[workload.RequestID]int{}
+			victims := map[workload.RequestID]bool{}
+			cfg.Hooks = control.Hooks{
+				RunFinished: func(_ time.Duration, run *engine.Run) {
+					for id, n := range run.Steps {
+						executed[id] += n
+					}
+				},
+				RunAborted: func(_ time.Duration, _ *engine.Run, stepsDone map[workload.RequestID]int) {
+					for id, n := range stepsDone {
+						executed[id] += n
+						victims[id] = true
+					}
+				},
 			}
-		}
-		t.Fatalf("ablation row %s/%s missing", name, faults)
-		return 0
-	}
-	for _, faults := range []string{"1", "2"} {
-		with, without := sar("requeue", faults), sar("no-requeue", faults)
-		if with <= without {
-			t.Errorf("%s fault(s): requeue SAR %.2f not strictly above no-requeue %.2f", faults, with, without)
+			res, err := sim.Run(cfg)
+			if err != nil {
+				t.Fatalf("%d fault(s), no-requeue %v: %v", faults, noRequeue, err)
+			}
+			if len(victims) == 0 {
+				t.Fatalf("%d fault(s): no block was aborted; the trace exercises no recovery", faults)
+			}
+			for _, o := range res.Outcomes {
+				if !victims[o.ID] {
+					continue
+				}
+				allRan := executed[o.ID] == o.Steps
+				switch {
+				case noRequeue && !allRan && (!o.Dropped || o.Cause != control.DropFault):
+					t.Errorf("%d fault(s), no-requeue: victim %d with steps left ends dropped=%v cause %q, want a fault drop",
+						faults, o.ID, o.Dropped, o.Cause)
+				case !noRequeue && o.Dropped && o.Cause == control.DropFault:
+					t.Errorf("%d fault(s), requeue: victim %d dropped as a fault victim", faults, o.ID)
+				case !noRequeue && (!o.Dropped || o.Cause == control.DropTimeout) && !allRan:
+					t.Errorf("%d fault(s), requeue: victim %d finished after %d of %d steps; the aborted prefix was not credited once",
+						faults, o.ID, executed[o.ID], o.Steps)
+				}
+			}
 		}
 	}
 }

@@ -44,11 +44,12 @@ func failureFaults(ctx Context, n int) []simgpu.Fault {
 	return all[:n]
 }
 
-// runFaultCell runs one sweep cell, tolerating schedulers that stall: an
-// event-driven policy whose fixed group no longer exists among the
-// surviving GPUs deadlocks, and that outcome is itself the result.
-func runFaultCell(ctx Context, f *fixture, sc sched.Scheduler, reqs []*workload.Request, faults []simgpu.Fault, noRequeue bool) (*sim.Result, error) {
-	return sim.Run(sim.Config{
+// faultCellConfig is one sweep cell's simulation: a private copy of the
+// trace under the fault plan and recovery policy. Its caller tolerates a
+// run that stalls: an event-driven policy whose fixed group no longer exists
+// among the surviving GPUs deadlocks, and that outcome is itself the result.
+func faultCellConfig(ctx Context, f *fixture, sc sched.Scheduler, reqs []*workload.Request, faults []simgpu.Fault, noRequeue bool) sim.Config {
+	return sim.Config{
 		Model:            f.mdl,
 		Topo:             f.topo,
 		Scheduler:        sc,
@@ -58,7 +59,7 @@ func runFaultCell(ctx Context, f *fixture, sc sched.Scheduler, reqs []*workload.
 		Faults:           faults,
 		NoRequeueOnFault: noRequeue,
 		CheckInvariants:  ctx.Quick,
-	})
+	}
 }
 
 // goodput is SLO-met requests per minute of makespan.
@@ -113,7 +114,7 @@ func runFault1(ctx Context) []*tablefmt.Table {
 	}
 	results := mapCells(ctx, len(cells), func(i int) out {
 		c := cells[i]
-		r, err := runFaultCell(ctx, f, c.mk(), reqs, failureFaults(ctx, c.faults), false)
+		r, err := sim.Run(faultCellConfig(ctx, f, c.mk(), reqs, failureFaults(ctx, c.faults), false))
 		return out{r, err}
 	})
 
@@ -143,7 +144,7 @@ func runFault1(ctx Context) []*tablefmt.Table {
 	abCells := []abCell{{1, false}, {1, true}, {2, false}, {2, true}}
 	abResults := mapCells(ctx, len(abCells), func(i int) out {
 		c := abCells[i]
-		r, err := runFaultCell(ctx, f, newTetri(f), reqs, failureFaults(ctx, c.faults), c.noRequeue)
+		r, err := sim.Run(faultCellConfig(ctx, f, newTetri(f), reqs, failureFaults(ctx, c.faults), c.noRequeue))
 		return out{r, err}
 	})
 	ablation := tablefmt.New("Failure ablation: TetriServe with and without fault requeue",

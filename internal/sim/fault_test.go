@@ -4,6 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"tetriserve/internal/control"
+	"tetriserve/internal/engine"
+	"tetriserve/internal/metrics"
+	"tetriserve/internal/model"
 	"tetriserve/internal/simgpu"
 	"tetriserve/internal/workload"
 )
@@ -181,5 +185,65 @@ func TestStatesMapDrained(t *testing.T) {
 		if n := s.ctl.StateCount(); n != 0 {
 			t.Fatalf("%s: %d request states leaked after the loop drained", tc.name, n)
 		}
+	}
+}
+
+// TestRequeueRescuesVictimByConstruction: requeue strictly beats the
+// no-requeue ablation when a fault victim can still meet its SLO. One
+// request with ample slack runs alone; the fault kills a GPU of its first
+// multi-step block halfway through, after at least one step finished. With
+// requeue the victim keeps the credited prefix and still meets on the seven
+// survivors; without it the victim is dropped as a fault victim.
+func TestRequeueRescuesVictimByConstruction(t *testing.T) {
+	req := func() []*workload.Request {
+		return []*workload.Request{{ID: 1, Res: model.Res1024, Steps: 50, SLO: time.Minute}}
+	}
+	clean := runSim(t, tetri(), req())
+	if o := clean.Outcomes[0]; !o.Met {
+		t.Fatalf("fault-free run misses its SLO (latency %v); the victim has no slack to spend", o.Latency)
+	}
+	var first *RunRecord
+	for i := range clean.Runs {
+		if clean.Runs[i].Steps >= 2 {
+			first = &clean.Runs[i]
+			break
+		}
+	}
+	if first == nil {
+		t.Fatal("no block runs two steps or more")
+	}
+	fault := simgpu.Fault{GPU: first.Group.IDs()[0], FailAt: first.Start + (first.End-first.Start)/2}
+
+	// run returns the steps credited at the abort and the steps run in
+	// all, credited prefix included.
+	run := func(noRequeue bool) (res *Result, credited, executed int) {
+		res = runSim(t, tetri(), req(), func(c *Config) {
+			c.Faults = []simgpu.Fault{fault}
+			c.NoRequeueOnFault = noRequeue
+			c.Hooks.RunFinished = func(_ time.Duration, run *engine.Run) { executed += run.Steps[1] }
+			c.Hooks.RunAborted = func(_ time.Duration, _ *engine.Run, stepsDone map[workload.RequestID]int) {
+				credited += stepsDone[1]
+				executed += stepsDone[1]
+			}
+		})
+		if res.RunsAborted != 1 {
+			t.Fatalf("no-requeue %v: %d runs aborted, want the victim's block only", noRequeue, res.RunsAborted)
+		}
+		return res, credited, executed
+	}
+	with, credited, executed := run(false)
+	if credited == 0 {
+		t.Fatalf("fault at %v credited no finished step; it must land after the block's first step", fault.FailAt)
+	}
+	if o := with.Outcomes[0]; o.Dropped || !o.Met || executed != o.Steps {
+		t.Fatalf("requeue: victim dropped %v (%s), met %v after %d of %d steps; want met with the %d-step prefix run once",
+			o.Dropped, o.Cause, o.Met, executed, o.Steps, credited)
+	}
+	without, _, _ := run(true)
+	if o := without.Outcomes[0]; !o.Dropped || o.Cause != control.DropFault {
+		t.Fatalf("no-requeue: victim dropped %v (%s); want a fault drop", o.Dropped, o.Cause)
+	}
+	if a, b := metrics.SAR(with), metrics.SAR(without); a <= b {
+		t.Fatalf("requeue SAR %.2f not strictly above no-requeue SAR %.2f", a, b)
 	}
 }
