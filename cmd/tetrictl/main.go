@@ -93,10 +93,17 @@ func (c *client) getJSON(path string, out any) error {
 	return decode(resp, out)
 }
 
+// errEvicted marks a job the server answered 410 Gone for: it finished so
+// long ago that its record was evicted.
+var errEvicted = errors.New("evicted")
+
 func decode(resp *http.Response, out any) error {
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return err
+	}
+	if resp.StatusCode == http.StatusGone {
+		return fmt.Errorf("%w: %s", errEvicted, bytes.TrimSpace(data))
 	}
 	if resp.StatusCode >= 300 {
 		return fmt.Errorf("server returned %s: %s", resp.Status, bytes.TrimSpace(data))
@@ -136,15 +143,32 @@ func cmdSubmit(c *client, args []string) error {
 	if !*wait {
 		return nil
 	}
+	job, err = c.waitJob(job.ID, 200*time.Millisecond)
+	switch {
+	case errors.Is(err, errEvicted):
+		fmt.Printf("job %d evicted before it was seen finishing\n", job.ID)
+	case err != nil:
+		return err
+	case job.State == "dropped":
+		fmt.Printf("job %d dropped\n", job.ID)
+	default:
+		fmt.Printf("job %d done: latency=%s met_slo=%v avg_degree=%.2f skipped=%d\n",
+			job.ID, time.Duration(job.LatencyNS), job.MetSLO, job.AvgDegree, job.Skipped)
+	}
+	return nil
+}
+
+// waitJob polls a job every interval until it is completed or dropped, both
+// terminal. A job the server evicted fails with errEvicted.
+func (c *client) waitJob(id int, every time.Duration) (jobView, error) {
 	for {
-		time.Sleep(200 * time.Millisecond)
-		if err := c.getJSON(fmt.Sprintf("/v1/jobs/%d", job.ID), &job); err != nil {
-			return err
+		time.Sleep(every)
+		job := jobView{ID: id}
+		if err := c.getJSON(fmt.Sprintf("/v1/jobs/%d", id), &job); err != nil {
+			return job, err
 		}
-		if job.State == "completed" {
-			fmt.Printf("job %d done: latency=%s met_slo=%v avg_degree=%.2f skipped=%d\n",
-				job.ID, time.Duration(job.LatencyNS), job.MetSLO, job.AvgDegree, job.Skipped)
-			return nil
+		if job.State == "completed" || job.State == "dropped" {
+			return job, nil
 		}
 	}
 }
@@ -210,25 +234,30 @@ func cmdLoad(c *client, args []string) error {
 		ids = append(ids, job.ID)
 		fmt.Printf("submitted job %d (%s)\n", job.ID, res)
 	}
-	// Wait for completion and summarize.
-	met, done := 0, 0
+	// Wait until every job is terminal (or evicted) and summarize.
+	var done, met, dropped, evicted int
 	for _, id := range ids {
-		for {
-			var job jobView
-			if err := c.getJSON(fmt.Sprintf("/v1/jobs/%d", id), &job); err != nil {
-				return err
+		job, err := c.waitJob(id, 150*time.Millisecond)
+		switch {
+		case errors.Is(err, errEvicted):
+			evicted++
+		case err != nil:
+			return err
+		case job.State == "dropped":
+			dropped++
+		default:
+			done++
+			if job.MetSLO {
+				met++
 			}
-			if job.State == "completed" {
-				done++
-				if job.MetSLO {
-					met++
-				}
-				break
-			}
-			time.Sleep(150 * time.Millisecond)
 		}
 	}
-	fmt.Printf("completed %d/%d, SLO attainment %.2f\n", done, *n, float64(met)/float64(done))
+	attainment := "n/a"
+	if done > 0 {
+		attainment = fmt.Sprintf("%.2f", float64(met)/float64(done))
+	}
+	fmt.Printf("completed %d/%d, dropped %d, evicted %d, SLO attainment %s (over completed)\n",
+		done, *n, dropped, evicted, attainment)
 	return nil
 }
 

@@ -72,12 +72,18 @@ func main() {
 		ids = append(ids, job.ID)
 	}
 
-	// Poll until all jobs finish.
+	// Poll until every job is terminal: completed or dropped. A 410 means the
+	// server has evicted the job's record.
 	for _, id := range ids {
 		for {
 			resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d", ts.URL, id))
 			if err != nil {
 				panic(err)
+			}
+			if resp.StatusCode == http.StatusGone {
+				resp.Body.Close()
+				fmt.Printf("job %d: evicted\n", id)
+				break
 			}
 			var job struct {
 				State     string  `json:"state"`
@@ -92,6 +98,10 @@ func main() {
 			if job.State == "completed" {
 				fmt.Printf("job %d: latency=%s met_slo=%v avg SP degree=%.1f\n",
 					id, time.Duration(job.LatencyNS).Round(time.Millisecond), job.MetSLO, job.AvgDegree)
+				break
+			}
+			if job.State == "dropped" {
+				fmt.Printf("job %d: dropped\n", id)
 				break
 			}
 			time.Sleep(50 * time.Millisecond)

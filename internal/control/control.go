@@ -19,11 +19,11 @@
 // the grid at its first boundary at or after that instant. Both adapters —
 // and every observer — therefore see the same event sequence.
 //
-// Adapters observe per-request lifecycle transitions through Hooks (the
-// driver mirrors them into its HTTP-visible job records); everything else —
-// outcomes, run records, plan latencies, health counters — accumulates in
-// the shared Result, which is why the simulator's trace export and the
-// driver's /v1/stats agree by construction.
+// Observers follow per-request lifecycle transitions through Hooks (the
+// lifecycle recorder, the telemetry plane, the invariant oracle); everything
+// else — outcomes and their counts, run records, plan latencies, health
+// counters — accumulates in the shared Result, which is why the simulator's
+// trace export and the driver's /v1/stats agree by construction.
 package control
 
 import (
@@ -56,7 +56,7 @@ type StepTrimmer interface {
 // RequeueCause explains why a running request went back to the pending
 // queue: a GPU fault aborted its block, or an elastic capacity change
 // preempted it with a planned handoff. Ordinary end-of-block requeues fire
-// no hook (the request stays logically running between rounds).
+// no hook of their own; RunFinished marks them.
 type RequeueCause string
 
 // Requeue causes.
@@ -65,23 +65,25 @@ const (
 	RequeueResize RequeueCause = "resize"
 )
 
-// Hooks are optional per-transition callbacks for adapter-side bookkeeping
-// (the driver's job-state mirror) and for observers such as the
-// internal/invariant oracle. Every field may be nil. Hooks run on the loop's
-// goroutine, synchronously with the transition they describe. Use Then to
-// fan a transition out to several observers.
+// Hooks are optional per-transition callbacks for observers such as the
+// lifecycle recorder, the telemetry plane and the internal/invariant oracle.
+// Every field may be nil. Hooks run on the loop's goroutine, synchronously
+// with the transition they describe. Use Then to fan a transition out to
+// several observers.
 type Hooks struct {
 	// Arriving fires before admission bookkeeping (before the trimmer and
 	// the tracker insert) — the driver's on-demand profile extension point.
 	Arriving func(now time.Duration, r *workload.Request)
 	// Admitted fires once the request is tracked and pending.
 	Admitted func(now time.Duration, r *workload.Request)
-	// Started fires when a request joins a dispatched block.
+	// Started fires when a request joins a dispatched block, after
+	// RunStarted. No observer in this module uses it; RunStarted carries the
+	// same members.
 	Started func(now time.Duration, id workload.RequestID)
 	// Requeued fires when a fault or a capacity resize interrupts a
 	// request's block and the survivor returns to the pending queue (not on
-	// ordinary end-of-block requeues, which keep the request logically
-	// running from the caller's view). cause says which interruption it was.
+	// ordinary end-of-block requeues, which RunFinished already marks).
+	// cause says which interruption it was.
 	Requeued func(now time.Duration, id workload.RequestID, cause RequeueCause)
 	// StepsElided fires when a retired block (completed, aborted or
 	// preempted) credited approximated steps against a request's quality
@@ -136,8 +138,9 @@ type Hooks struct {
 }
 
 // Then returns hooks that invoke h's callback first and next's second for
-// every transition, so several observers (the driver's job mirror, the
-// invariant oracle) can watch one loop without knowing about each other.
+// every transition, so several observers (the telemetry plane, the lifecycle
+// recorder, the invariant oracle) can watch one loop without knowing about
+// each other.
 func (h Hooks) Then(next Hooks) Hooks {
 	return Hooks{
 		Arriving:     chain2(h.Arriving, next.Arriving),
@@ -339,6 +342,10 @@ func (l *Loop) Result() *Result { return l.res }
 // Unfinished reports how many scheduled or admitted requests have not been
 // finalized — the simulator's termination condition.
 func (l *Loop) Unfinished() int { return l.left }
+
+// Running reports how many requests belong to in-flight blocks. Between
+// blocks a request is pending again.
+func (l *Loop) Running() int { return len(l.running) }
 
 // StateCount reports tracked (non-finalized) request states; it must drain
 // to zero with Unfinished, or the tracker leaks.
@@ -1043,6 +1050,10 @@ func (l *Loop) finish(now time.Duration, st *sched.RequestState) {
 	}
 	l.res.Outcomes = append(l.res.Outcomes, out)
 	l.left--
+	l.res.Completed++
+	if out.Met {
+		l.res.Met++
+	}
 	delete(l.states, r.ID)
 	if l.cfg.Hooks.Finished != nil {
 		l.cfg.Hooks.Finished(now, out)
@@ -1073,6 +1084,7 @@ func (l *Loop) drop(now time.Duration, st *sched.RequestState, cause DropCause) 
 func (l *Loop) finalize(now time.Duration, out Outcome) {
 	l.res.Outcomes = append(l.res.Outcomes, out)
 	l.left--
+	l.res.Dropped++
 	delete(l.states, out.ID)
 	if l.cfg.Hooks.Dropped != nil {
 		l.cfg.Hooks.Dropped(now, out)

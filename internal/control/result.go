@@ -97,6 +97,9 @@ type Result struct {
 	PlanRejected int
 	StartFailed  int
 	RoundTicks   int
+	// Completed, Met and Dropped count Outcomes as they are appended:
+	// delivered, delivered by their deadline, and abandoned.
+	Completed, Met, Dropped int
 }
 
 // Clone returns a deep copy safe to hand across goroutines (the online

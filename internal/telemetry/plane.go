@@ -59,15 +59,9 @@ type Plane struct {
 	attainment                  *GaugeVec
 	attainByTenant              map[string]*sloWindow
 
-	// phase mirrors the driver's job-state machine (queued → running →
-	// terminal) so the queue gauges agree with /v1/stats by construction.
-	phase map[workload.RequestID]uint8
+	// live counts admitted requests not yet finalized: work outstanding.
+	live int
 }
-
-const (
-	phaseQueued uint8 = iota + 1
-	phaseRunning
-)
 
 // NewPlane builds a plane with the full metric catalogue registered.
 func NewPlane() *Plane {
@@ -101,9 +95,9 @@ func NewPlane() *Plane {
 		runsAborted: reg.Counter("tetriserve_runs_aborted_total",
 			"Step blocks killed mid-flight by GPU faults."),
 		queueDepth: reg.Gauge("tetriserve_queue_depth",
-			"Admitted requests waiting for GPUs."),
+			"Admitted requests not in an in-flight block."),
 		runningReqs: reg.Gauge("tetriserve_running_requests",
-			"Requests currently executing in a step block."),
+			"Requests in an in-flight step block."),
 		failedGPUs: reg.Gauge("tetriserve_failed_gpus",
 			"GPUs currently out of service."),
 		totalGPUs: reg.Gauge("tetriserve_gpus",
@@ -121,7 +115,6 @@ func NewPlane() *Plane {
 			"SLO attainment over finalized requests, by tenant.", "tenant"),
 		phaseByClass:   map[string]*[len(timelinePhases)]*Histogram{},
 		attainByTenant: map[string]*sloWindow{},
-		phase:          map[workload.RequestID]uint8{},
 	}
 	requeuedVec := reg.CounterVec("tetriserve_requeued_total",
 		"Requests returned to the queue after a fault or resize interrupted their block, by cause.", "cause")
@@ -160,7 +153,6 @@ func (p *Plane) SetClusterSize(n int) { p.totalGPUs.Set(float64(n)) }
 func (p *Plane) Hooks() control.Hooks {
 	return control.Hooks{
 		Admitted:     p.onAdmitted,
-		Started:      p.onStarted,
 		Requeued:     p.onRequeued,
 		StepsElided:  func(_ time.Duration, _ workload.RequestID, approx int) { p.stepsElided.Add(float64(approx)) },
 		Finished:     p.onFinished,
@@ -173,6 +165,7 @@ func (p *Plane) Hooks() control.Hooks {
 		RunStarted:   p.onRunStarted,
 		RunFinished:  p.onRunFinished,
 		RunAborted:   p.onRunAborted,
+		RunPreempted: func(_ time.Duration, run *engine.Run, _ map[workload.RequestID]int) { p.inBlock(run, -1) },
 		GPUFailed:    func(_ time.Duration, m simgpu.Mask) { p.failedGPUs.Add(float64(m.Count())) },
 		GPURecovered: func(_ time.Duration, m simgpu.Mask) { p.failedGPUs.Add(-float64(m.Count())) },
 	}
@@ -180,7 +173,7 @@ func (p *Plane) Hooks() control.Hooks {
 
 func (p *Plane) onAdmitted(now time.Duration, r *workload.Request) {
 	p.requests.Inc()
-	p.phase[r.ID] = phaseQueued
+	p.live++
 	p.queueDepth.Inc()
 	if p.Bus.Active() {
 		p.Bus.Publish(trace.Event{
@@ -192,14 +185,6 @@ func (p *Plane) onAdmitted(now time.Duration, r *workload.Request) {
 	}
 }
 
-func (p *Plane) onStarted(now time.Duration, id workload.RequestID) {
-	if p.phase[id] == phaseQueued {
-		p.phase[id] = phaseRunning
-		p.queueDepth.Dec()
-		p.runningReqs.Inc()
-	}
-}
-
 func (p *Plane) onRequeued(now time.Duration, id workload.RequestID, cause control.RequeueCause) {
 	c, ok := p.requeued[cause]
 	if !ok {
@@ -208,11 +193,6 @@ func (p *Plane) onRequeued(now time.Duration, id workload.RequestID, cause contr
 		p.requeued[cause] = c
 	}
 	c.Inc()
-	if p.phase[id] == phaseRunning {
-		p.phase[id] = phaseQueued
-		p.runningReqs.Dec()
-		p.queueDepth.Inc()
-	}
 }
 
 // onRoundTick counts the boundary and observes the effective round length —
@@ -226,26 +206,28 @@ func (p *Plane) onRoundTick(at, now time.Duration) {
 		p.roundDuration.Observe((at - p.lastTick).Seconds())
 	}
 	p.lastTick = at
-	p.tickSeen = len(p.phase) != 0
+	p.tickSeen = p.live != 0
 }
 
-// retire clears a request's queue-position gauge at finalization. The last
-// tracked request's retirement ends the round-duration series.
-func (p *Plane) retire(id workload.RequestID) {
-	switch p.phase[id] {
-	case phaseQueued:
-		p.queueDepth.Dec()
-	case phaseRunning:
-		p.runningReqs.Dec()
-	}
-	delete(p.phase, id)
-	if len(p.phase) == 0 {
+// The queue gauges follow blocks: a block's members run from its start (dir
+// +1) until it retires, aborts or is preempted (dir -1), and are queued
+// otherwise. A request finalizes out of the queue, so finalize leaves the
+// running gauge alone; the last finalization ends the round-duration series.
+func (p *Plane) inBlock(run *engine.Run, dir float64) {
+	n := dir * float64(len(run.Asg.Requests))
+	p.queueDepth.Add(-n)
+	p.runningReqs.Add(n)
+}
+
+func (p *Plane) finalize() {
+	p.queueDepth.Dec()
+	if p.live--; p.live == 0 {
 		p.tickSeen = false
 	}
 }
 
 func (p *Plane) onFinished(now time.Duration, o control.Outcome) {
-	p.retire(o.ID)
+	p.finalize()
 	p.completed.Inc()
 	if o.Met {
 		p.sloMet.Inc()
@@ -269,7 +251,7 @@ func (p *Plane) onFinished(now time.Duration, o control.Outcome) {
 }
 
 func (p *Plane) onDropped(now time.Duration, o control.Outcome) {
-	p.retire(o.ID)
+	p.finalize()
 	c, ok := p.dropped[o.Cause]
 	if !ok {
 		// Future causes still count (under their own label) rather than
@@ -304,12 +286,14 @@ func (p *Plane) onPlanRejected(now time.Duration, err error) {
 }
 
 func (p *Plane) onRunStarted(now time.Duration, run *engine.Run) {
+	p.inBlock(run, 1)
 	if p.Bus.Active() {
 		p.Bus.Publish(runEvent(trace.KindBlockStart, run.Start, run))
 	}
 }
 
 func (p *Plane) onRunFinished(now time.Duration, run *engine.Run) {
+	p.inBlock(run, -1)
 	if run.Batched {
 		p.runsBatched.Inc()
 	} else {
@@ -321,6 +305,7 @@ func (p *Plane) onRunFinished(now time.Duration, run *engine.Run) {
 }
 
 func (p *Plane) onRunAborted(now time.Duration, run *engine.Run, _ map[workload.RequestID]int) {
+	p.inBlock(run, -1)
 	p.runsAborted.Inc()
 	// An aborted block still counts as an executed block in the run log
 	// (matching control.Result.Runs, which records it with End = fault

@@ -11,6 +11,7 @@ import (
 	"tetriserve/internal/engine"
 	"tetriserve/internal/lifecycle"
 	"tetriserve/internal/model"
+	"tetriserve/internal/sched"
 	"tetriserve/internal/sim"
 	"tetriserve/internal/simgpu"
 	"tetriserve/internal/trace"
@@ -343,4 +344,58 @@ func TestObserveTimelinePhaseSeries(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { p.ObserveTimeline(tl) }); got != 0 {
 		t.Errorf("ObserveTimeline allocates %v times per timeline, want 0", got)
 	}
+}
+
+// TestPlaneQueueGaugesFollowBlocks drives the hook sequence a request can
+// see and checks both queue gauges after every step: a request is running
+// while it belongs to an in-flight block and queued otherwise, between
+// blocks included.
+func TestPlaneQueueGaugesFollowBlocks(t *testing.T) {
+	p := NewPlane()
+	h := p.Hooks()
+	a := &workload.Request{ID: 1, Res: model.Res512}
+	b := &workload.Request{ID: 2, Res: model.Res512}
+	block := func(ids ...workload.RequestID) *engine.Run {
+		return &engine.Run{Asg: sched.Assignment{Requests: ids}}
+	}
+	check := func(step string, queued, running float64) {
+		t.Helper()
+		snap := p.Registry.Snapshot()
+		if q, r := snap["tetriserve_queue_depth"], snap["tetriserve_running_requests"]; q != queued || r != running {
+			t.Fatalf("after %s: queue_depth %v, running_requests %v; want %v, %v", step, q, r, queued, running)
+		}
+	}
+
+	h.Admitted(0, a)
+	h.Admitted(0, b)
+	check("two admissions", 2, 0)
+	first := block(1, 2)
+	h.RunStarted(1, first)
+	check("a block of both starts", 0, 2)
+	h.RunFinished(2, first)
+	check("the block finishes with steps left", 2, 0)
+
+	second := block(1)
+	h.RunStarted(3, second)
+	check("a block of one starts", 1, 1)
+	h.RunAborted(4, second, map[workload.RequestID]int{1: 3})
+	h.Requeued(4, 1, control.RequeueFault)
+	check("a fault aborts it and requeues the survivor", 2, 0)
+
+	third := block(1, 2)
+	h.RunStarted(5, third)
+	check("a block of both starts again", 0, 2)
+	h.RunPreempted(6, third, map[workload.RequestID]int{1: 2, 2: 2})
+	h.Requeued(6, 1, control.RequeueResize)
+	h.Requeued(6, 2, control.RequeueResize)
+	check("a resize preempts it", 2, 0)
+
+	last := block(1)
+	h.RunStarted(7, last)
+	check("the last block starts", 1, 1)
+	h.RunFinished(8, last)
+	h.Finished(8, control.Outcome{ID: 1, Res: model.Res512, Met: true, Latency: 8})
+	check("the last block finishes its request", 1, 0)
+	h.Dropped(9, control.Outcome{ID: 2, Res: model.Res512, Dropped: true, Cause: control.DropExpired})
+	check("expiry drops the other", 0, 0)
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Observability smoke test: boot the daemon, drive a little load, and prove
 # the whole telemetry plane answers — /metrics scrapes as Prometheus text,
-# /v1/rounds explains recent decisions, the follow stream delivers live
-# events, and tetrictl's tail/top front-ends work against a real server.
+# /v1/rounds explains recent decisions, /v1/jobs renders a finished job, the
+# follow stream delivers live events, and tetrictl's status/submit -wait/
+# tail/top front-ends work against a real server.
 set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:8933}"
@@ -67,6 +68,14 @@ grep -q '"deadline_slack_us"' "$TMP/rounds.json"
 
 echo "== pprof (flag-gated) =="
 curl -fsS "$BASE/debug/pprof/cmdline" >/dev/null
+
+echo "== /v1/jobs renders a finished job from its timeline =="
+curl -fsS "$BASE/v1/jobs/0" >"$TMP/job0.json"
+grep -q '"state":"completed"' "$TMP/job0.json" || { echo "job 0: $(cat "$TMP/job0.json")" >&2; exit 1; }
+grep -q '"avg_degree"' "$TMP/job0.json"
+"$TMP/tetrictl" -server "$BASE" status 0 | grep -q '"state": "completed"'
+"$TMP/tetrictl" -server "$BASE" submit -prompt "obs smoke wait" -size 512 -wait | tee "$TMP/submit.txt"
+grep -q 'done: latency=' "$TMP/submit.txt"
 
 echo "== tetrictl top =="
 "$TMP/tetrictl" -server "$BASE" top
