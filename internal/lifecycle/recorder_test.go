@@ -198,6 +198,58 @@ func TestRequeueAndPreemption(t *testing.T) {
 	}
 }
 
+// TestRunningWhileComputeOpen: a timeline reads Running exactly while its
+// compute segment is open, so a fault victim between RunAborted and
+// Requeued (its last span a closed compute segment, here of zero length)
+// is not running. Res is the admitted resolution throughout.
+func TestRunningWhileComputeOpen(t *testing.T) {
+	rec := NewRecorder(Config{})
+	h := rec.Hooks()
+	r := req(4, "t-4", "")
+	r.Res = model.Res256
+	step := func(name string, want bool) {
+		t.Helper()
+		tl, ok := rec.LookupID(r.ID)
+		if !ok {
+			t.Fatalf("%s: timeline not found", name)
+		}
+		if tl.Running != want {
+			t.Errorf("%s: Running = %v, want %v (spans %+v)", name, tl.Running, want, tl.Spans)
+		}
+		if tl.Res != model.Res256 {
+			t.Errorf("%s: Res = %v, want %v", name, tl.Res, model.Res256)
+		}
+	}
+
+	h.Admitted(1*ms, r)
+	step("admitted", false)
+	planConsidering(h, 2*ms, r)
+	run := runFor(r, 3*ms, 3*ms)
+	h.RunStarted(3*ms, run)
+	step("run started", true)
+	h.RunAborted(3*ms, run, map[workload.RequestID]int{r.ID: 0})
+	if tl, _ := rec.LookupID(r.ID); tl.Spans[len(tl.Spans)-1].Kind != SpanCompute {
+		t.Fatalf("aborted victim's last span is %q, want the closed compute segment", tl.Spans[len(tl.Spans)-1].Kind)
+	}
+	step("run aborted", false)
+	h.Requeued(3*ms, r.ID, control.RequeueFault)
+	step("requeued", false)
+	run = runFor(r, 4*ms, 6*ms)
+	run.Steps[r.ID] = 2
+	h.RunStarted(4*ms, run)
+	step("second run started", true)
+	h.RunFinished(6*ms, run)
+	step("run finished with steps left", false)
+	run = runFor(r, 7*ms, 9*ms)
+	h.RunStarted(7*ms, run)
+	step("third run started", true)
+	h.RunPreempted(8*ms, run, map[workload.RequestID]int{r.ID: 1})
+	step("run preempted", false)
+	h.Requeued(8*ms, r.ID, control.RequeueResize)
+	h.Finished(10*ms, control.Outcome{ID: r.ID, Completion: 10 * ms, Met: true})
+	step("finished", false)
+}
+
 // TestRetentionRingBounds finalizes more timelines than Capacity and checks
 // that memory (the ring and both lookup maps) stays bounded while the
 // finalized counter keeps the true total.

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"math"
 	"net/http"
 	"net/url"
@@ -409,20 +408,20 @@ type rejectBody struct {
 func (a *RouterAPI) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	var req RoutedGenerateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		a.httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+		httpError(a.Logf, w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
 	if strings.TrimSpace(req.Prompt) == "" {
-		a.httpError(w, http.StatusBadRequest, "prompt is required")
+		httpError(a.Logf, w, http.StatusBadRequest, "prompt is required")
 		return
 	}
 	res := model.Resolution{W: req.Width, H: req.Height}
 	if !res.Valid() {
-		a.httpError(w, http.StatusBadRequest, "width/height must be positive multiples of 16")
+		httpError(a.Logf, w, http.StatusBadRequest, "width/height must be positive multiples of 16")
 		return
 	}
 	if req.Steps != 0 {
-		a.httpError(w, http.StatusBadRequest, "steps is not supported: shards serve the model's default step count")
+		httpError(a.Logf, w, http.StatusBadRequest, "steps is not supported: shards serve the model's default step count")
 		return
 	}
 	slo := time.Duration(req.SLOMillis) * time.Millisecond
@@ -433,7 +432,7 @@ func (a *RouterAPI) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	dec := a.rt.Route(req.Tenant, res, 0, slo)
 	switch dec.Reason {
 	case router.ReasonUnknown:
-		a.httpError(w, http.StatusBadRequest, "resolution %v not profiled on any shard", res)
+		httpError(a.Logf, w, http.StatusBadRequest, "resolution %v not profiled on any shard", res)
 		return
 	case router.ReasonInfeasible, router.ReasonShed:
 		// Early rejection: admitting would burn GPU·seconds on a guaranteed
@@ -441,7 +440,7 @@ func (a *RouterAPI) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		// seconds per RFC 9110, rounded up so clients never retry early.
 		w.Header().Set("Retry-After",
 			strconv.Itoa(int(math.Ceil(dec.RetryAfter.Seconds()))))
-		a.writeJSON(w, http.StatusTooManyRequests, rejectBody{
+		writeJSON(a.Logf, w, http.StatusTooManyRequests, rejectBody{
 			Error:        fmt.Sprintf("no shard can meet the %s deadline", slo),
 			Reason:       string(dec.Reason),
 			RetryAfterMS: dec.RetryAfter.Milliseconds(),
@@ -464,13 +463,13 @@ func (a *RouterAPI) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The probe said winnable but the shard refused (stopped, raced a
 		// restart): surface as 503, the one transient case left.
-		a.httpError(w, http.StatusServiceUnavailable, "shard %s: %v", dec.ShardName, err)
+		httpError(a.Logf, w, http.StatusServiceUnavailable, "shard %s: %v", dec.ShardName, err)
 		return
 	}
 	if job.TraceID == "" {
 		job.TraceID = trace
 	}
-	a.writeJSON(w, http.StatusAccepted, RoutedJob{
+	writeJSON(a.Logf, w, http.StatusAccepted, RoutedJob{
 		Job:     job,
 		Shard:   dec.ShardName,
 		SlackUS: dec.Slack.Microseconds(),
@@ -508,15 +507,15 @@ func (a *RouterAPI) handleRequestTimeline(w http.ResponseWriter, r *http.Request
 			if tl.Shard == "" {
 				tl.Shard = a.shards[i].Name()
 			}
-			a.writeJSON(w, http.StatusOK, tl)
+			writeJSON(a.Logf, w, http.StatusOK, tl)
 			return
 		}
 	}
 	if lastErr != nil {
-		a.httpError(w, http.StatusBadGateway, "timeline %q: %v", key, lastErr)
+		httpError(a.Logf, w, http.StatusBadGateway, "timeline %q: %v", key, lastErr)
 		return
 	}
-	a.httpError(w, http.StatusNotFound, "no timeline for request %q", key)
+	httpError(a.Logf, w, http.StatusNotFound, "no timeline for request %q", key)
 }
 
 // fleetShardView is one shard's slice of the fleet document.
@@ -573,7 +572,7 @@ func (a *RouterAPI) handleFleet(w http.ResponseWriter, _ *http.Request) {
 			History:   a.reb.History(),
 		}
 	}
-	a.writeJSON(w, http.StatusOK, view)
+	writeJSON(a.Logf, w, http.StatusOK, view)
 }
 
 // routerStatsView is the /v1/router/stats response.
@@ -610,7 +609,7 @@ func (a *RouterAPI) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s := r.URL.Query().Get("explain"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
-			a.httpError(w, http.StatusBadRequest, "invalid explain %q", s)
+			httpError(a.Logf, w, http.StatusBadRequest, "invalid explain %q", s)
 			return
 		}
 		for _, dec := range a.plane.Log.Snapshot(n) {
@@ -636,27 +635,5 @@ func (a *RouterAPI) handleStats(w http.ResponseWriter, r *http.Request) {
 			view.Explain = append(view.Explain, dv)
 		}
 	}
-	a.writeJSON(w, http.StatusOK, view)
-}
-
-func (a *RouterAPI) logf(format string, args ...any) {
-	if a.Logf != nil {
-		a.Logf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
-}
-
-// writeJSON/httpError mirror API's write discipline: once the status line is
-// out, a mid-stream failure is logged, never answered with a second header.
-func (a *RouterAPI) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		a.logf("server: writing %d response failed mid-stream: %v", code, err)
-	}
-}
-
-func (a *RouterAPI) httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	a.writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSON(a.Logf, w, http.StatusOK, view)
 }
