@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-test check fuzz cover obs-smoke goldens
+.PHONY: build vet test race bench bench-test microbench check fuzz cover obs-smoke goldens
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,13 @@ bench:
 bench-test:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+# One iteration of each micro-benchmark: probe, digest projection, profile
+# lookup, late-backlog planner, lifecycle recorder and backlog simulation, so
+# they keep compiling and running. Timings from one iteration mean nothing;
+# run `go test -bench` with a real -benchtime to measure.
+microbench:
+	$(GO) test -run '^$$' -bench 'ProbeClasses|DigestProject|StepTimeBatch|PlanLateBacklog|RecorderRequest|RunBacklog' -benchtime 1x ./internal/control ./internal/costmodel ./internal/core ./internal/lifecycle ./internal/sim
 
 # Regenerate the goldens a behavioural change moves: the experiment tables
 # and the option census. Review the result as one `git diff`.
@@ -54,6 +61,6 @@ cover:
 	$(GO) test -coverprofile=coverage.out -coverpkg=./... ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-# Everything a PR must pass: compile, vet, full suite, race detector, and
-# the benchmark module's own vet + tests.
-check: build vet test race bench-test
+# Everything a PR must pass: compile, vet, full suite, race detector, the
+# benchmark module's own vet + tests, and one pass of the micro-benchmarks.
+check: build vet test race bench-test microbench

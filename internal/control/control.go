@@ -27,7 +27,6 @@
 package control
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -242,13 +241,20 @@ type Loop struct {
 	// pending or running. Finalization deletes the entry, so nothing in it is
 	// ever done.
 	states map[workload.RequestID]*sched.RequestState
-	// queue holds exactly the tracked requests that are not running, sorted
-	// by (arrival, ID): the order the planner sees, expiry drops in and the
-	// probe sums the backlog in. Binary insertion and removal keep it
-	// sorted, and a round hands it to the planner as is (PlanContext.Pending
-	// aliases it).
-	queue    []*sched.RequestState
-	inflight map[engine.RunID]*engine.Run
+	// queue and late together hold exactly the tracked requests that are
+	// not running; each request is in one of them. late holds the requests
+	// whose late mark holds (sched.RequestState.LateHolds), with their mark
+	// deadlines in lateDue; queue holds the rest. Both are sorted by
+	// (arrival, ID), so merging them gives the order expiry drops in and the
+	// probe sums the backlog in. Binary insertion and removal keep them
+	// sorted, and a round hands them to the planner as they are
+	// (PlanContext.Pending aliases queue, Late late and LateDue lateDue).
+	// lateVersion is the profile version every mark in late holds at.
+	queue       []*sched.RequestState
+	late        []*sched.RequestState
+	lateDue     []time.Duration
+	lateVersion uint64
+	inflight    map[engine.RunID]*engine.Run
 	// runEv maps in-flight runs to their completion events so GPU faults
 	// can cancel the completions of blocks they abort.
 	runEv map[engine.RunID]eventq.Handle
@@ -614,7 +620,7 @@ func (l *Loop) onRoundTick(at, now time.Duration) {
 	// With nothing pending, in flight or staged the loop parks: no next tick
 	// until admit or stageResize re-arms the grid.
 	l.grid = at + l.tau
-	l.armed = len(l.queue) != 0 || len(l.inflight) != 0 || l.resizeStaged
+	l.armed = l.pending() != 0 || len(l.inflight) != 0 || l.resizeStaged
 	if l.armed {
 		l.q.Push(l.grid, evRoundTick, nil)
 	}
@@ -623,23 +629,30 @@ func (l *Loop) onRoundTick(at, now time.Duration) {
 // plan applies the drop policy, then invokes the scheduler and starts the
 // returned assignments.
 func (l *Loop) plan(now time.Duration) {
+	if v := l.cfg.Profile.Version(); v != l.lateVersion {
+		l.unlate()
+		l.lateVersion = v
+	}
 	l.expire(now)
 	// The context and its slices are loop-owned scratch, rebuilt in place
 	// every round; hook observers already contract to read them only
-	// synchronously. Pending is the queue itself, which dispatch below
-	// edits: nothing may read it once the first assignment starts.
+	// synchronously. Pending and Late are the loop's own lists, which
+	// dispatch below edits: nothing may read them once the first assignment
+	// starts.
 	l.ctx = sched.PlanContext{
 		Now:      now,
 		Free:     l.eng.Free(),
 		Capacity: l.eng.Capacity(),
 		Pending:  l.queue,
+		Late:     l.late,
+		LateDue:  l.lateDue,
 		Running:  l.snapshotRunning(),
 		Tracked:  l.states,
 		Profile:  l.cfg.Profile,
 		Topo:     l.cfg.Topo,
 	}
 	ctx := &l.ctx
-	if len(ctx.Pending) == 0 {
+	if l.pending() == 0 {
 		return
 	}
 	start := time.Now()
@@ -693,26 +706,58 @@ func (l *Loop) plan(now time.Duration) {
 		l.inflight[run.ID] = run
 		l.runEv[run.ID] = l.q.Push(run.End, evRunDone, run)
 	}
+	l.settleLate(now)
+}
+
+// settleLate moves the queued requests whose late mark holds, which the
+// plan just stamped or found, into late, so later rounds do not walk them.
+func (l *Loop) settleLate(now time.Duration) {
+	kept := l.queue[:0]
+	for _, st := range l.queue {
+		if !st.LateHolds(l.cfg.Profile, now) {
+			kept = append(kept, st)
+			continue
+		}
+		i, _ := slices.BinarySearchFunc(l.late, st, sched.ArrivalOrder)
+		l.late = slices.Insert(l.late, i, st)
+		l.lateDue = slices.Insert(l.lateDue, i, st.Late.Deadline)
+	}
+	clear(l.queue[len(kept):])
+	l.queue = kept
+}
+
+// unlate returns every request in late to the queue: after a profile
+// version bump no mark holds.
+func (l *Loop) unlate() {
+	l.queue = append(l.queue, l.late...)
+	slices.SortFunc(l.queue, sched.ArrivalOrder)
+	clear(l.late)
+	l.late, l.lateDue = l.late[:0], l.lateDue[:0]
 }
 
 // expire applies the timeout policy at planning boundaries: a request still
 // pending past DropLateFactor × SLO is abandoned — its client is gone, and
 // keeping it would let the queue grow without bound under overload. Drops
-// happen in queue order, (arrival, ID).
+// happen in (arrival, ID) order across queue and late.
 func (l *Loop) expire(now time.Duration) {
 	if l.cfg.DropLateFactor <= 0 {
 		return
 	}
-	kept := l.queue[:0]
-	for _, st := range l.queue {
-		if l.pastDrop(now, st) {
+	q, lq, lt := l.queue[:0], l.late[:0], l.lateDue[:0]
+	w := l.walk()
+	for st, i, late := w.next(); st != nil; st, i, late = w.next() {
+		switch {
+		case l.pastDrop(now, st):
 			l.drop(now, st, DropExpired)
-		} else {
-			kept = append(kept, st)
+		case late:
+			lq, lt = append(lq, st), append(lt, l.lateDue[i])
+		default:
+			q = append(q, st)
 		}
 	}
-	clear(l.queue[len(kept):])
-	l.queue = kept
+	clear(l.queue[len(q):])
+	clear(l.late[len(lq):])
+	l.queue, l.late, l.lateDue = q, lq, lt
 }
 
 // onGPUFail injects a fail-stop fault: the engine aborts intersecting
@@ -928,28 +973,48 @@ func (l *Loop) dispatchDelay() time.Duration {
 	return 0
 }
 
-// byArrival is the planner's queue order. Arrival order is part of the FIFO
-// baselines' semantics; re-queued requests must not jump ahead of earlier
-// arrivals. (arrival, ID) is a total order, so every state has one slot.
-func byArrival(a, b *sched.RequestState) int {
-	if c := cmp.Compare(a.Req.Arrival, b.Req.Arrival); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Req.ID, b.Req.ID)
-}
+// pending counts the tracked requests that are not running.
+func (l *Loop) pending() int { return len(l.queue) + len(l.late) }
 
 // enqueue returns a tracked, non-running request with steps left to the
-// queue.
+// queue. It goes to queue, not late, even if its mark holds: the next plan
+// reads the mark and settleLate moves it.
 func (l *Loop) enqueue(st *sched.RequestState) {
-	i, _ := slices.BinarySearchFunc(l.queue, st, byArrival)
+	i, _ := slices.BinarySearchFunc(l.queue, st, sched.ArrivalOrder)
 	l.queue = slices.Insert(l.queue, i, st)
 }
 
-// unqueue removes st from the queue: one binary search.
+// unqueue removes st from whichever of queue and late holds it: one binary
+// search in each at most.
 func (l *Loop) unqueue(st *sched.RequestState) {
-	if i, ok := slices.BinarySearchFunc(l.queue, st, byArrival); ok {
+	if i, ok := slices.BinarySearchFunc(l.queue, st, sched.ArrivalOrder); ok {
 		l.queue = slices.Delete(l.queue, i, i+1)
+	} else if i, ok := slices.BinarySearchFunc(l.late, st, sched.ArrivalOrder); ok {
+		l.late = slices.Delete(l.late, i, i+1)
+		l.lateDue = slices.Delete(l.lateDue, i, i+1)
 	}
+}
+
+// pendingWalk merges queue and late in (arrival, ID) order.
+type pendingWalk struct {
+	queue, late []*sched.RequestState
+	i, j        int
+}
+
+func (l *Loop) walk() pendingWalk { return pendingWalk{queue: l.queue, late: l.late} }
+
+// next returns the next pending request, its index in the list it came from
+// and whether that list is late; st is nil once both lists are exhausted.
+func (w *pendingWalk) next() (st *sched.RequestState, i int, late bool) {
+	switch {
+	case w.j < len(w.late) && (w.i == len(w.queue) || sched.ArrivalOrder(w.late[w.j], w.queue[w.i]) < 0):
+		w.j++
+		return w.late[w.j-1], w.j - 1, true
+	case w.i < len(w.queue):
+		w.i++
+		return w.queue[w.i-1], w.i - 1, false
+	}
+	return nil, 0, false
 }
 
 // setRunning / clearRunning keep l.running in sync with st.Running. All

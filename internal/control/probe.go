@@ -179,7 +179,7 @@ func (l *Loop) Digest() Digest {
 		Now:               l.clk.Now(),
 		HealthyGPUs:       healthy,
 		FreeGPUs:          free.Count(),
-		Pending:           len(l.queue),
+		Pending:           l.pending(),
 		Running:           len(l.running),
 		DispatchDelay:     l.dispatchDelay(),
 		MaxCacheInterval:  l.maxCacheInterval(),
@@ -188,11 +188,12 @@ func (l *Loop) Digest() Digest {
 		Resolutions:       l.resolutionDigests(healthy),
 	}
 	// Backlog: every tracked, unfinished request costed at its cheapest
-	// profiled degree, pending ones summed in queue order; running requests
-	// are counted by their remaining steps only. A fully failed pool skips
-	// the walk: no projection reads it.
+	// profiled degree, pending ones summed in (arrival, ID) order across
+	// queue and late; running requests are counted by their remaining steps
+	// only. A fully failed pool skips the walk: no projection reads it.
 	if healthy > 0 {
-		for _, st := range l.queue {
+		w := l.walk()
+		for st, _, _ := w.next(); st != nil; st, _, _ = w.next() {
 			d.QueueGPUSeconds += float64(st.Remaining) * l.backlogGPUSeconds(d.Resolutions, st.Req.Res, healthy)
 		}
 		for _, st := range l.running {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -358,8 +359,10 @@ func referenceProbe(l *Loop, c ProbeClass) (Feasibility, error) {
 	var backlog float64
 	pending := 0
 	if healthy > 0 {
-		pending = len(l.queue)
-		for _, st := range l.queue {
+		queue := append(slices.Clone(l.queue), l.late...)
+		slices.SortFunc(queue, sched.ArrivalOrder)
+		pending = len(queue)
+		for _, st := range queue {
 			backlog += float64(st.Remaining) * l.minGPUSecondsWithin(st.Req.Res, healthy)
 		}
 		for _, st := range l.running {

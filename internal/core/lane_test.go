@@ -91,6 +91,66 @@ func TestLateLaneMatchesStableSortPrefix(t *testing.T) {
 	}
 }
 
+// TestLateHeadIsFirstMinimum: lateHead's early stop never changes the
+// answer. Over late lists sorted by arrival whose deadlines are at or after
+// their arrivals (zero SLOs and ties included), it returns the first minimum
+// of the deadlines, as a full scan does.
+func TestLateHeadIsFirstMinimum(t *testing.T) {
+	rng := stats.NewRNG(35)
+	deep, stopped := 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(100)
+		late := make([]*sched.RequestState, n)
+		due := make([]time.Duration, n)
+		arrival := time.Duration(0)
+		for i := range late {
+			// SLOs span many arrivals, so a later request often
+			// undercuts an earlier one's deadline; nanosecond steps put
+			// deadlines right at the stop boundary.
+			arrival += []time.Duration{0, 1, time.Second, 2 * time.Second}[rng.Intn(4)]
+			slo := time.Duration(rng.Intn(40))*time.Second + time.Duration(rng.Intn(2))
+			late[i] = mkState(i+1, model.Res512, 10, arrival, slo)
+			due[i] = late[i].Deadline()
+		}
+		want := -1
+		for i, d := range due {
+			if want < 0 || d < due[want] {
+				want = i
+			}
+		}
+		if got := lateHead(late, due); got != want {
+			t.Fatalf("trial %d (%d late): lateHead = %d, first minimum at %d", trial, n, got, want)
+		}
+		if want < 0 {
+			continue
+		}
+		if want >= 8 {
+			deep++
+		}
+		if late[n-1].Req.Arrival >= due[want]+8*time.Second {
+			stopped++
+		}
+	}
+	if deep == 0 || stopped == 0 {
+		t.Fatalf("sample too tame: %d minima past the first check, %d scans that may stop early", deep, stopped)
+	}
+
+	// At the boundary: the ninth request arrives 1 ns before the lowest
+	// deadline so far and is due at once, so the scan must not stop there.
+	late, due := make([]*sched.RequestState, 9), make([]time.Duration, 9)
+	for i := range late {
+		late[i] = mkState(i+1, model.Res512, 10, 0, 20*time.Second)
+	}
+	late[0].Req.SLO = 10 * time.Second
+	late[8].Req.Arrival, late[8].Req.SLO = 10*time.Second-1, 0
+	for i, st := range late {
+		due[i] = st.Deadline()
+	}
+	if got := lateHead(late, due); got != 8 {
+		t.Fatalf("boundary: lateHead = %d, first minimum at 8", got)
+	}
+}
+
 // TestDefinitelyLateCacheOffMatchesRescueProjection: with caching off the
 // planner skips the cache-rescue projection for plain-late requests; the
 // short-circuited answer must equal the full projection's.
@@ -145,15 +205,21 @@ func TestDefinitelyLateCacheOffMatchesRescueProjection(t *testing.T) {
 // BenchmarkPlanLateBacklog times Plan over a deep, mostly definitely late
 // queue: the partition, the best-effort lane and the DP over the few active
 // requests. steady is a serving loop's view: the clock advances by τ each
-// round over the same states, so the late marks of earlier rounds hold.
-// cold restores every state to its unjudged original before each round
-// (timer stopped), so every request is judged afresh.
+// round over the same states, so the late marks of earlier rounds hold, and
+// the requests whose marks hold sit in ctx.Late, where the control loop
+// puts them after each plan. cold restores every state to its unjudged
+// original before each round (timer stopped), so every request is judged
+// afresh from ctx.Pending.
 func BenchmarkPlanLateBacklog(b *testing.B) {
 	for _, depth := range []int{64, 672, 4096} {
 		b.Run(fmt.Sprintf("depth=%d/steady", depth), func(b *testing.B) {
 			s := NewScheduler(testProf, testTopo, DefaultConfig())
 			ctx := lateBacklogCtx(depth)
-			s.Plan(ctx)
+			for range 2 {
+				s.Plan(ctx)
+				splitLate(ctx)
+				ctx.Now += s.RoundDuration()
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

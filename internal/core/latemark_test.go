@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -90,6 +91,18 @@ func TestLateMarkInvalidation(t *testing.T) {
 		}
 	})
 
+	// A deadline before the arrival would break lateHead's early stop, so
+	// such a request is judged late every round but never marked.
+	t.Run("deadline before arrival stamps nothing", func(t *testing.T) {
+		s := newTestScheduler(t)
+		st := mkState(1, model.Res512, 40, now, -time.Second)
+		s.Plan(mkCtx(now, 0, st))
+		if slices.Contains(s.scratch.active, st) || s.scratch.late != st || st.Late != (sched.LateMark{}) {
+			t.Fatalf("active %v, lane pick %v, mark %+v: want late, picked and unmarked",
+				slices.Contains(s.scratch.active, st), s.scratch.late == st, st.Late)
+		}
+	})
+
 	// Caching on: a late request is judged by the rescue projection, which
 	// is not monotone in now, so no mark is stamped.
 	t.Run("caching on stamps nothing", func(t *testing.T) {
@@ -106,8 +119,11 @@ func TestLateMarkInvalidation(t *testing.T) {
 // fault requeues, resize preemptions and a mid-run profile version bump,
 // once with caching off and once with it on. At every plan the planner's
 // active set and lane pick must equal a fresh re-derivation from the
-// pending queue: with caching off the reference verdict is
+// pending requests, ctx.Pending and ctx.Late merged in (arrival, ID) order:
+// with caching off the reference verdict is
 // sched.RequestState.DefinitelyLate, with it on the full rescue projection.
+// Every plan must also equal a fresh scheduler's plan from the same
+// requests all in Pending, and every held Late request must be freshly late.
 func TestLateMarksMatchFreshVerdicts(t *testing.T) {
 	for _, maxCache := range []int{1, 4} {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -129,12 +145,24 @@ func TestLateMarksMatchFreshVerdicts(t *testing.T) {
 				}
 			}
 
-			plans, reused, requeued := 0, 0, 0
+			plans, reused, requeued, held := 0, 0, 0, 0
 			bumpedAt := time.Duration(-1)
+			merged := func(ctx *sched.PlanContext) []*sched.RequestState {
+				all := append(slices.Clone(ctx.Pending), ctx.Late...)
+				slices.SortFunc(all, sched.ArrivalOrder)
+				return all
+			}
 			check := func(now, _ time.Duration, ctx *sched.PlanContext) {
 				plans++
+				held += len(ctx.Late)
+				for _, st := range ctx.Late {
+					if !st.LateHolds(ctx.Profile, now) || !st.DefinitelyLate(now, ctx.Profile) {
+						t.Fatalf("cache %d seed %d at %v: request %d held late, mark %+v at profile version %d",
+							maxCache, seed, now, st.Req.ID, st.Late, ctx.Profile.Version())
+					}
+				}
 				var active, late []*sched.RequestState
-				for _, st := range ctx.Pending {
+				for _, st := range merged(ctx) {
 					fresh := st.DefinitelyLate(now, ctx.Profile)
 					if maxCache > 1 {
 						fresh = s.definitelyLate(ctx.Profile, st, now)
@@ -163,6 +191,16 @@ func TestLateMarksMatchFreshVerdicts(t *testing.T) {
 					t.Fatalf("cache %d seed %d at %v: lane pick differs from the stable sort's head", maxCache, seed, now)
 				}
 			}
+			// The loop's split plans exactly like every request in Pending.
+			// The fresh plan stamps only the marks the real one stamped.
+			same := func(now time.Duration, ctx *sched.PlanContext, plan []sched.Assignment) {
+				all := *ctx
+				all.Pending, all.Late, all.LateDue = merged(ctx), nil, nil
+				want := NewScheduler(prof, testTopo, cfg).Plan(&all)
+				if (len(plan) != 0 || len(want) != 0) && !reflect.DeepEqual(plan, want) {
+					t.Fatalf("cache %d seed %d at %v: split plan %+v, all-pending plan %+v", maxCache, seed, now, plan, want)
+				}
+			}
 			res, err := sim.Run(sim.Config{
 				Model: model.FLUX(), Topo: testTopo, Profile: prof, Requests: reqs,
 				Scheduler:      s,
@@ -183,6 +221,7 @@ func TestLateMarksMatchFreshVerdicts(t *testing.T) {
 						}
 					},
 					PlanComputed: check,
+					Planned:      same,
 					Requeued:     func(time.Duration, workload.RequestID, control.RequeueCause) { requeued++ },
 				},
 			})
@@ -195,12 +234,79 @@ func TestLateMarksMatchFreshVerdicts(t *testing.T) {
 					dropped++
 				}
 			}
-			if plans == 0 || requeued == 0 || dropped == 0 || bumpedAt < 0 || (maxCache <= 1 && reused == 0) {
-				t.Fatalf("cache %d seed %d: scenario too tame: %d plans, %d requeues, %d drops, bump at %v, %d verdicts reused",
-					maxCache, seed, plans, requeued, dropped, bumpedAt, reused)
+			if plans == 0 || requeued == 0 || dropped == 0 || bumpedAt < 0 || (maxCache <= 1) != (reused > 0 && held > 0) {
+				t.Fatalf("cache %d seed %d: scenario too tame: %d plans, %d requeues, %d drops, bump at %v, %d verdicts reused, %d held late",
+					maxCache, seed, plans, requeued, dropped, bumpedAt, reused, held)
 			}
-			t.Logf("cache %d seed %d: %d plans, %d requeues, %d drops, %d verdicts reused",
-				maxCache, seed, plans, requeued, dropped, reused)
+			t.Logf("cache %d seed %d: %d plans, %d requeues, %d drops, %d verdicts reused, %d held late",
+				maxCache, seed, plans, requeued, dropped, reused, held)
 		}
 	}
+}
+
+// splitLate hands ctx the split the control loop would: every request whose
+// late mark holds at ctx.Now moves from Pending to Late, with its mark
+// deadline in LateDue; both lists stay in (arrival, ID) order.
+func splitLate(ctx *sched.PlanContext) {
+	all := append(slices.Clone(ctx.Pending), ctx.Late...)
+	slices.SortFunc(all, sched.ArrivalOrder)
+	ctx.Pending, ctx.Late, ctx.LateDue = nil, nil, nil
+	for _, st := range all {
+		if st.LateHolds(ctx.Profile, ctx.Now) {
+			ctx.Late = append(ctx.Late, st)
+			ctx.LateDue = append(ctx.LateDue, st.Late.Deadline)
+		} else {
+			ctx.Pending = append(ctx.Pending, st)
+		}
+	}
+}
+
+// TestLanePickTieAcrossPendingAndLate: when the head of ctx.Late and a
+// request judged late afresh in ctx.Pending share a deadline, the lane
+// takes the one earlier in (arrival, ID) order, whichever list it is in —
+// the pick and the whole plan equal those of the same requests all in
+// Pending.
+func TestLanePickTieAcrossPendingAndLate(t *testing.T) {
+	const now = 10 * time.Second
+	deadline := now - time.Second
+	for _, heldFirst := range []bool{true, false} {
+		// held is judged late by a first plan and keeps its mark; fresh
+		// is judged at the second plan only. The earlier of the two
+		// arrives at 0, the later 1 ms after, and both are due together.
+		held := mkState(1, model.Res1024, 20, 0, deadline)
+		fresh := mkState(2, model.Res512, 20, time.Millisecond, deadline-time.Millisecond)
+		want := held
+		if !heldFirst {
+			held.Req.Arrival, held.Req.SLO = time.Millisecond, deadline-time.Millisecond
+			fresh.Req.Arrival, fresh.Req.SLO = 0, deadline
+			want = fresh
+		}
+		s := newTestScheduler(t)
+		s.Plan(mkCtx(now, 0, held))
+		ctx := mkCtx(now, testTopo.AllMask(), held, fresh)
+		slices.SortFunc(ctx.Pending, sched.ArrivalOrder)
+		splitLate(ctx)
+		if !slices.Equal(ctx.Late, []*sched.RequestState{held}) || !slices.Equal(ctx.Pending, []*sched.RequestState{fresh}) {
+			t.Fatalf("held first %v: split gives %d pending, %d late; want one each", heldFirst, len(ctx.Pending), len(ctx.Late))
+		}
+		plan := clonePlan(s.Plan(ctx))
+		if s.scratch.late != want {
+			t.Fatalf("held first %v: lane picks %d, want %d", heldFirst, s.scratch.late.Req.ID, want.Req.ID)
+		}
+		all := mkCtx(now, testTopo.AllMask(), held, fresh)
+		slices.SortFunc(all.Pending, sched.ArrivalOrder)
+		if ref := clonePlan(newTestScheduler(t).Plan(all)); !reflect.DeepEqual(plan, ref) {
+			t.Fatalf("held first %v: split plan %+v, all-pending plan %+v", heldFirst, plan, ref)
+		}
+	}
+}
+
+// clonePlan deep-copies a plan out of the scheduler's scratch.
+func clonePlan(plan []sched.Assignment) []sched.Assignment {
+	out := make([]sched.Assignment, len(plan))
+	for i, a := range plan {
+		a.Requests = slices.Clone(a.Requests)
+		out[i] = a
+	}
+	return out
 }

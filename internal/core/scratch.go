@@ -34,9 +34,9 @@ type mixKey struct {
 // planScratch is the arena reused across Plan calls.
 type planScratch struct {
 	// Stage 0: request partition. late is the best-effort lane's pick, not
-	// the whole late set: the earliest-deadline definitely-late request,
-	// ties to the first in pending order, with its deadline in lateDue; nil
-	// when no pending request is definitely late.
+	// the whole late set: the earliest-deadline definitely-late request of
+	// ctx.Pending and ctx.Late, ties to the first in (arrival, ID) order,
+	// with its deadline in lateDue; nil when no request is definitely late.
 	active  []*sched.RequestState
 	late    *sched.RequestState
 	lateDue time.Duration
@@ -179,30 +179,31 @@ func (s *Scheduler) definitelyLate(prof *costmodel.Profile, st *sched.RequestSta
 }
 
 // partition splits ctx.Pending into the active set and the definitely-late
-// requests, keeping of the latter only the lane's pick.
+// requests, keeping of the latter only the lane's pick, then offers the
+// pick of ctx.Late.
 //
 // With caching off a late verdict is stamped on the request
-// (sched.LateMark) and reused while the profile, its version and Remaining
-// stand still and the clock has not gone back: now + Remaining·tmin can
-// then only have grown, so the reused verdict is exact. Every other request
-// is judged again. The reuse does not assume lateness is monotone across
-// executed steps: a jittered step may run faster than tmin, and a request
-// whose Remaining moved is always re-judged. With caching on the rescue
-// projection is not monotone in now, so nothing is reused.
+// (sched.LateMark) and reused while it holds (RequestState.LateHolds): the
+// profile, its version and Remaining stand still and the clock has not gone
+// back, so now + Remaining·tmin can only have grown and the reused verdict
+// is exact. Every other request is judged again. The reuse does not assume
+// lateness is monotone across executed steps: a jittered step may run
+// faster than tmin, and a request whose Remaining moved is always re-judged.
+// With caching on the rescue projection is not monotone in now, so nothing
+// is stamped and ctx.Late is empty.
 func (s *Scheduler) partition(ctx *sched.PlanContext) {
 	sc := &s.scratch
 	prof, now := ctx.Profile, ctx.Now
-	version := prof.Version()
 	keep := s.cfg.MaxCacheInterval <= 1
 	for _, st := range ctx.Pending {
 		var due time.Duration
 		switch {
-		case keep && lateMarkHolds(st, prof, version, now):
+		case keep && st.LateHolds(prof, now):
 			due = st.Late.Deadline
 		case s.definitelyLate(prof, st, now):
 			due = st.Deadline()
-			if keep {
-				st.Late = sched.LateMark{Prof: prof, Version: version, Remaining: st.Remaining, At: now, Deadline: due}
+			if keep && due >= st.Req.Arrival {
+				st.Late = sched.LateMark{Prof: prof, Version: prof.Version(), Remaining: st.Remaining, At: now, Deadline: due}
 			}
 		default:
 			sc.active = append(sc.active, st)
@@ -215,13 +216,36 @@ func (s *Scheduler) partition(ctx *sched.PlanContext) {
 			sc.late, sc.lateDue = st, due
 		}
 	}
+	// ctx.Late is already judged: its pick is the first minimum of LateDue.
+	// On a deadline tie with the pick from Pending, the earlier of the two
+	// in (arrival, ID) order wins, as it would in one merged list.
+	if i := lateHead(ctx.Late, ctx.LateDue); i >= 0 {
+		due, st := ctx.LateDue[i], ctx.Late[i]
+		if sc.late == nil || due < sc.lateDue || due == sc.lateDue && sched.ArrivalOrder(st, sc.late) < 0 {
+			sc.late, sc.lateDue = st, due
+		}
+	}
 }
 
-// lateMarkHolds reports whether st's late mark was stamped under prof at
-// its current version, for the current Remaining, no later than now.
-func lateMarkHolds(st *sched.RequestState, prof *costmodel.Profile, version uint64, now time.Duration) bool {
-	m := &st.Late
-	return m.Prof == prof && m.Version == version && m.Remaining == st.Remaining && now >= m.At
+// lateHead returns the index of the first minimum of due, the deadlines of
+// late, or -1 if late is empty. late is sorted by arrival, and no mark
+// deadline precedes its request's arrival (partition stamps no such mark).
+// So once a request arrived no earlier than the lowest deadline so far,
+// neither it nor any later request can undercut that deadline, and the scan
+// stops: it reads the requests that arrived before the earliest deadline,
+// not the whole late set. It checks an arrival every eighth request, which
+// keeps the loop a sequential read of due.
+func lateHead(late []*sched.RequestState, due []time.Duration) int {
+	at, low := -1, time.Duration(0)
+	for i, d := range due {
+		if i%8 == 0 && at >= 0 && late[i].Req.Arrival >= low {
+			break
+		}
+		if at < 0 || d < low {
+			at, low = i, d
+		}
+	}
+	return at
 }
 
 // putMix1 / putMix2 materialize a mix into the per-plan slab, returning a

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -147,10 +148,32 @@ func FuzzPlanRound(f *testing.F) {
 // memo) may leak into a later round. The evolution mixes perturbed rounds,
 // repeated identical snapshots, and queue growth. Placement preservation is
 // forced on: with it off the placement RNG is legitimately cross-round state.
+//
+// A third long-lived scheduler plans each round from the split the control
+// loop hands over (lateSplit): the requests whose late marks held at the
+// start of the round in Late, the rest in Pending. Its plan must equal the
+// plan with every request in Pending. flags bit 16 bumps the profile's
+// version at a random round, after which no mark holds; bit 32 snaps
+// arrivals and SLOs to a one-second grid, so deadlines tie across the two
+// lists.
 func planReuseEquivalence(t *testing.T, seed uint64, nGPUSel, nReqSel, flags uint8) {
+	planReuseRounds(t, seed, nGPUSel, nReqSel, flags)
+}
+
+// planReuseRounds runs planReuseEquivalence and reports how often the split
+// was exercised: the late requests it held over all rounds, and the rounds
+// where a request judged late afresh in Pending tied the Late head's
+// deadline.
+func planReuseRounds(t *testing.T, seed uint64, nGPUSel, nReqSel, flags uint8) (held, ties int) {
 	n := 1 << (int(nGPUSel) % 4) // 1, 2, 4, 8 GPUs
 	nReq := 1 + int(nReqSel)%16
 	prof, topo := fuzzProfile(n)
+	bumpAt := -1
+	if flags&16 != 0 {
+		// A private profile: the cached ones are shared across targets.
+		prof = costmodel.BuildProfile(costmodel.NewEstimator(model.FLUX(), topo), costmodel.ProfilerConfig{})
+		bumpAt = int(seed % 12)
+	}
 	resList := model.StandardResolutions()
 
 	cfg := core.DefaultConfig()
@@ -159,19 +182,54 @@ func planReuseEquivalence(t *testing.T, seed uint64, nGPUSel, nReqSel, flags uin
 	cfg.SelectiveBatching = flags&4 != 0
 	cfg.BestEffortLane = flags&8 != 0
 	reused := core.NewScheduler(prof, topo, cfg)
+	split := core.NewScheduler(prof, topo, cfg)
 
 	ctx := fuzzPlanContext(stats.NewRNG(seed), prof, topo, nReq)
+	if flags&32 != 0 {
+		for _, st := range ctx.Pending {
+			st.Req.Arrival = st.Req.Arrival.Truncate(time.Second)
+			st.Req.SLO = st.Req.SLO.Truncate(time.Second)
+		}
+	}
+	// The control loop keeps its pending requests in (arrival, ID) order;
+	// a tie on deadline goes to the earlier of the two in that order.
+	slices.SortFunc(ctx.Pending, sched.ArrivalOrder)
 	rng := stats.NewRNG(seed ^ 0x9e3779b97f4a7c15)
 	tau := reused.RoundDuration()
 	nextID := len(ctx.Pending) + 1
 	for round := 0; round < 12; round++ {
+		if round == bumpAt {
+			prof.SetCachedStepRelCost(prof.CachedStepRelCost())
+		}
+		sctx := lateSplit(ctx)
+		held += len(sctx.Late)
+		if len(sctx.Late) > 0 {
+			head := slices.Min(sctx.LateDue)
+			for _, st := range sctx.Pending {
+				if st.Deadline() == head && st.DefinitelyLate(ctx.Now, prof) {
+					ties++
+					break
+				}
+			}
+		}
+		sp := clonePlan(split.Plan(sctx))
 		rp := clonePlan(reused.Plan(ctx))
 		fp := clonePlan(core.NewScheduler(prof, topo, cfg).Plan(ctx))
 		if !reflect.DeepEqual(rp, fp) {
 			t.Fatalf("round %d: reused and fresh schedulers diverge:\n reused: %+v\n  fresh: %+v", round, rp, fp)
 		}
+		if !reflect.DeepEqual(sp, rp) {
+			t.Fatalf("round %d: %d pending + %d late plans differently from all pending:\n split: %+v\n   all: %+v",
+				round, len(sctx.Pending), len(sctx.Late), sp, rp)
+		}
 		if err := sched.ValidatePlan(ctx, rp); err != nil {
 			t.Fatalf("round %d: plan failed validation: %v", round, err)
+		}
+		if err := sched.ValidatePlan(sctx, sp); err != nil {
+			t.Fatalf("round %d: split plan failed validation: %v", round, err)
+		}
+		if round == bumpAt && len(sctx.Late) != 0 {
+			t.Fatalf("round %d: %d marks hold across a profile version bump", round, len(sctx.Late))
 		}
 		// Evolve the snapshot for the next round.
 		if rng.Intn(4) == 0 {
@@ -207,6 +265,25 @@ func planReuseEquivalence(t *testing.T, seed uint64, nGPUSel, nReqSel, flags uin
 			nextID++
 		}
 	}
+	return held, ties
+}
+
+// lateSplit returns a copy of ctx with the split the control loop makes:
+// the requests whose late mark holds at ctx.Now move from Pending to Late,
+// with their mark deadlines in LateDue. ctx.Pending must be in (arrival,
+// ID) order; both lists keep it.
+func lateSplit(ctx *sched.PlanContext) *sched.PlanContext {
+	out := *ctx
+	out.Pending, out.Late, out.LateDue = nil, nil, nil
+	for _, st := range ctx.Pending {
+		if st.LateHolds(ctx.Profile, ctx.Now) {
+			out.Late = append(out.Late, st)
+			out.LateDue = append(out.LateDue, st.Late.Deadline)
+		} else {
+			out.Pending = append(out.Pending, st)
+		}
+	}
+	return &out
 }
 
 // FuzzPlanReuse is the cross-round state fuzzer: whatever snapshot sequence
@@ -223,10 +300,18 @@ func FuzzPlanReuse(f *testing.F) {
 
 // TestPlanReuseEquivalence pins a deterministic battery of the same check so
 // the property is exercised by plain `go test` runs beyond corpus replay.
+// Bits 16 and 32 of the flags (version bump, deadline grid) follow the seed
+// mod 4, so the battery covers them too and must exercise the split.
 func TestPlanReuseEquivalence(t *testing.T) {
+	held, ties := 0, 0
 	for seed := uint64(1); seed <= 24; seed++ {
-		planReuseEquivalence(t, seed, uint8(seed), uint8(3*seed), uint8(seed>>1))
+		h, tie := planReuseRounds(t, seed, uint8(seed), uint8(3*seed), uint8(seed>>1)|uint8(seed&3)<<4)
+		held, ties = held+h, ties+tie
 	}
+	if held == 0 || ties == 0 {
+		t.Fatalf("battery too tame: %d late requests held, %d deadline ties across the split", held, ties)
+	}
+	t.Logf("%d late requests held, %d deadline ties across the split", held, ties)
 }
 
 // TestSeedCorpusCommitted pins the replay contract: the committed corpus

@@ -21,7 +21,9 @@
 //     nor failed — elastic scale-up and work-conserving admission included.
 //   - membership: assignments reference only known, pending, not-yet-running
 //     requests, each at most once, with positive step counts that do not
-//     exceed a lone request's remaining steps.
+//     exceed a lone request's remaining steps; every plan's pending lists
+//     (Pending and Late) are disjoint, sorted and exactly the ledger's
+//     waiting requests, and every Late mark holds.
 //   - SLO-safe batching: a continuous-batching merge never violates any
 //     member's survival test at the next round boundary (§5).
 //   - cost-model consistency: a block's projected finish time equals
@@ -84,9 +86,11 @@ func CheckPlan(ctx *sched.PlanContext, plan []sched.Assignment, tau time.Duratio
 		vs = append(vs, Violation{At: ctx.Now, Rule: rule, Detail: fmt.Sprintf(format, args...)})
 	}
 
-	pending := make(map[workload.RequestID]*sched.RequestState, len(ctx.Pending))
-	for _, st := range ctx.Pending {
-		pending[st.Req.ID] = st
+	pending := make(map[workload.RequestID]*sched.RequestState, len(ctx.Pending)+len(ctx.Late))
+	for _, list := range [2][]*sched.RequestState{ctx.Pending, ctx.Late} {
+		for _, st := range list {
+			pending[st.Req.ID] = st
+		}
 	}
 	if ctx.Free&^ctx.Topo.AllMask() != 0 {
 		add(RuleCapacity, "free mask %v exceeds the %d-GPU node", ctx.Free, ctx.Topo.N)

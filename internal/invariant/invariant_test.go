@@ -257,3 +257,70 @@ func TestOracleCleanLifecycle(t *testing.T) {
 		t.Fatalf("clean lifecycle failed the audit: %v", err)
 	}
 }
+
+// TestOracleAuditsPendingLists: at every PlanComputed the oracle checks the
+// split of the waiting requests into Pending and Late. A clean split passes;
+// each case breaks one clause and must trip the membership rule.
+func TestOracleAuditsPendingLists(t *testing.T) {
+	topo := simgpu.H100x8()
+	const now = 10 * time.Second
+	type lists struct {
+		pending, late []*sched.RequestState
+		due           []time.Duration
+	}
+	cases := []struct {
+		name  string
+		edit  func(l *lists, prof *costmodel.Profile)
+		clean bool
+	}{
+		{"clean split", func(*lists, *costmodel.Profile) {}, true},
+		{"late out of order", func(l *lists, _ *costmodel.Profile) {
+			l.late[0], l.late[1] = l.late[1], l.late[0]
+			l.due[0], l.due[1] = l.due[1], l.due[0]
+		}, false},
+		{"request in both lists", func(l *lists, _ *costmodel.Profile) {
+			l.pending = append(l.pending, l.late[1])
+		}, false},
+		{"waiting request missing", func(l *lists, _ *costmodel.Profile) { l.pending = nil }, false},
+		{"mark does not hold", func(l *lists, prof *costmodel.Profile) {
+			prof.SetCachedStepRelCost(prof.CachedStepRelCost())
+		}, false},
+		{"mark deadline before arrival", func(l *lists, _ *costmodel.Profile) {
+			l.late[0].Late.Deadline = l.late[0].Req.Arrival - 1
+			l.due[0] = l.late[0].Late.Deadline
+		}, false},
+		{"due differs from the mark", func(l *lists, _ *costmodel.Profile) { l.due[1]++ }, false},
+		{"due missing", func(l *lists, _ *costmodel.Profile) { l.due = l.due[:1] }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o, _ := newTestOracle(t, topo)
+			prof := o.cfg.Profile
+			h := o.Hooks()
+			var all []*sched.RequestState
+			for i := 1; i <= 3; i++ {
+				r := &workload.Request{ID: workload.RequestID(i), Res: model.Res1024, Steps: 10,
+					Arrival: time.Duration(i) * time.Second, SLO: time.Second}
+				h.Admitted(r.Arrival, r)
+				all = append(all, &sched.RequestState{Req: r, Remaining: 10})
+			}
+			var l lists
+			l.pending = all[:1]
+			for _, st := range all[1:] {
+				st.Late = sched.LateMark{Prof: prof, Version: prof.Version(), Remaining: st.Remaining, At: now, Deadline: st.Deadline()}
+				l.late = append(l.late, st)
+				l.due = append(l.due, st.Deadline())
+			}
+			tc.edit(&l, prof)
+			h.PlanComputed(now, 0, &sched.PlanContext{Now: now, Pending: l.pending, Late: l.late, LateDue: l.due,
+				Free: topo.AllMask(), Profile: prof, Topo: topo})
+			if tc.clean {
+				if vs := o.Violations(); len(vs) != 0 {
+					t.Fatalf("clean split flagged: %v", vs)
+				}
+				return
+			}
+			wantRule(t, o.Violations(), RuleMembership)
+		})
+	}
+}

@@ -118,6 +118,7 @@ func Attach(cfg *control.Config) *Oracle {
 func (o *Oracle) Hooks() control.Hooks {
 	return control.Hooks{
 		Admitted:     o.onAdmitted,
+		PlanComputed: o.onPlanComputed,
 		Planned:      o.onPlanned,
 		RunStarted:   o.onRunStarted,
 		RunFinished:  o.onRunFinished,
@@ -174,6 +175,56 @@ func (o *Oracle) onAdmitted(now time.Duration, r *workload.Request) {
 	o.admitted++
 }
 
+// onPlanComputed audits the pending snapshot every plan was made from,
+// rejected plans included. Pending and Late must be disjoint and each
+// sorted by (arrival, ID); together they must be exactly the ledger's
+// requests that are not running and have steps left, with the tracker's
+// step counts; every Late mark must hold at ctx.Now, with a deadline no
+// earlier than the request's arrival, and that deadline in LateDue.
+func (o *Oracle) onPlanComputed(now, _ time.Duration, ctx *sched.PlanContext) {
+	if len(ctx.LateDue) != len(ctx.Late) {
+		o.report(now, RuleMembership, "%d late requests but %d late deadlines", len(ctx.Late), len(ctx.LateDue))
+	}
+	seen := make(map[workload.RequestID]bool, len(ctx.Pending)+len(ctx.Late))
+	for li, list := range [2][]*sched.RequestState{ctx.Pending, ctx.Late} {
+		name := [2]string{"pending", "late"}[li]
+		for i, st := range list {
+			id := st.Req.ID
+			if i > 0 && sched.ArrivalOrder(list[i-1], st) >= 0 {
+				o.report(now, RuleMembership, "%s list out of (arrival, ID) order: %d before %d", name, list[i-1].Req.ID, id)
+			}
+			if seen[id] {
+				o.report(now, RuleMembership, "request %d listed twice across pending and late", id)
+			}
+			seen[id] = true
+			rec, ok := o.reqs[id]
+			switch {
+			case !ok:
+				o.report(now, RuleMembership, "%s request %d unknown to the ledger", name, id)
+			case rec.running:
+				o.report(now, RuleMembership, "request %d is %s and running at once", id, name)
+			case rec.remaining != st.Remaining:
+				o.report(now, RuleMembership, "request %d: tracker says %d steps remain, ledger says %d",
+					id, st.Remaining, rec.remaining)
+			}
+			if li == 1 {
+				if !st.LateHolds(ctx.Profile, ctx.Now) || st.Late.Deadline < st.Req.Arrival {
+					o.report(now, RuleMembership, "late request %d (arrived %v): its mark %+v does not hold at %v",
+						id, st.Req.Arrival, st.Late, ctx.Now)
+				}
+				if i < len(ctx.LateDue) && ctx.LateDue[i] != st.Late.Deadline {
+					o.report(now, RuleMembership, "late request %d: due %v, mark deadline %v", id, ctx.LateDue[i], st.Late.Deadline)
+				}
+			}
+		}
+	}
+	for id, rec := range o.reqs {
+		if !rec.running && rec.remaining > 0 && !seen[id] {
+			o.report(now, RuleMembership, "request %d waits with %d steps left but is in neither pending nor late", id, rec.remaining)
+		}
+	}
+}
+
 func (o *Oracle) onPlanned(now time.Duration, ctx *sched.PlanContext, plan []sched.Assignment) {
 	o.plans++
 	// Double-entry free mask: the engine's idle view must equal the owned
@@ -185,19 +236,6 @@ func (o *Oracle) onPlanned(now time.Duration, ctx *sched.PlanContext, plan []sch
 	}
 	if ctx.Capacity != 0 && ctx.Capacity != o.capacity {
 		o.report(now, RuleConservation, "planner saw capacity=%v but ledger says %v", ctx.Capacity, o.capacity)
-	}
-	// The pending snapshot must agree with the ledger request by request.
-	for _, st := range ctx.Pending {
-		rec, ok := o.reqs[st.Req.ID]
-		switch {
-		case !ok:
-			o.report(now, RuleConservation, "pending request %d unknown to the ledger", st.Req.ID)
-		case rec.running:
-			o.report(now, RuleConservation, "request %d is pending and running at once", st.Req.ID)
-		case rec.remaining != st.Remaining:
-			o.report(now, RuleConservation, "request %d: tracker says %d steps remain, ledger says %d",
-				st.Req.ID, st.Remaining, rec.remaining)
-		}
 	}
 	for _, v := range CheckPlan(ctx, plan, o.cfg.Tau) {
 		o.report(v.At, v.Rule, "%s", v.Detail)

@@ -11,6 +11,7 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"time"
@@ -52,8 +53,9 @@ type RequestState struct {
 	// Remaining is the number of denoising steps left.
 	Remaining int
 	// Late is the planner-owned record of the last "definitely late"
-	// verdict; the control loop never touches it. It sits next to Remaining
-	// so a planner's reuse check reads one cache line per request.
+	// verdict. The control loop only reads it, to keep a request whose mark
+	// holds in PlanContext.Late. It sits next to Remaining so a reuse check
+	// reads one cache line per request.
 	Late LateMark
 	// Running reports whether an assignment for this request is executing.
 	Running bool
@@ -77,14 +79,36 @@ type RequestState struct {
 // Remaining stand still that sum only grows with now, so a planner may reuse
 // the verdict at any later instant instead of judging again. The deadline
 // is fixed once a request is admitted; keeping a copy here lets the planner
-// rank late requests without loading the request. The zero value records no
-// verdict.
+// rank late requests without loading the request. No mark's deadline
+// precedes its request's arrival: a planner does not stamp a request whose
+// SLO is negative, so a scan of late requests in arrival order may stop once
+// arrivals pass the lowest deadline seen. The zero value records no verdict.
 type LateMark struct {
 	Prof      *costmodel.Profile
 	Version   uint64
 	Remaining int
 	At        time.Duration
 	Deadline  time.Duration
+}
+
+// LateHolds reports whether s's late mark was stamped under prof at its
+// current version, for the current Remaining, no later than now: the mark's
+// verdict then still holds, because now + Remaining·tmin can only have grown
+// since. The planner reuses a held verdict instead of judging again, and the
+// control loop keeps a request whose mark holds out of PlanContext.Pending.
+func (s *RequestState) LateHolds(prof *costmodel.Profile, now time.Duration) bool {
+	m := &s.Late
+	return m.Prof == prof && m.Version == prof.Version() && m.Remaining == s.Remaining && now >= m.At
+}
+
+// ArrivalOrder is the pending order, (arrival, ID): a total order, so every
+// request has one slot. Arrival order is part of the FIFO baselines'
+// semantics; a requeued request must not jump ahead of earlier arrivals.
+func ArrivalOrder(a, b *RequestState) int {
+	if c := cmp.Compare(a.Req.Arrival, b.Req.Arrival); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Req.ID, b.Req.ID)
 }
 
 // Clone returns a deep copy (used by solvers that explore hypotheticals).
@@ -176,23 +200,36 @@ type PlanContext struct {
 	// consult it. The invariant oracle checks it against its own capacity
 	// ledger.
 	Capacity simgpu.Mask
-	// Pending lists requests with Remaining > 0 that are not Running,
-	// sorted by (arrival, ID).
+	// Pending and Late together list the requests with Remaining > 0 that
+	// are not Running. The two are disjoint and each is sorted by
+	// (arrival, ID) (ArrivalOrder).
 	//
-	// It may alias the caller's queue (the control loop passes its own
-	// pending queue, not a copy). Schedulers and observers must treat it as
-	// read-only, and may read it only during Plan and the synchronous
+	// Pending holds the requests still to be judged. Late holds requests
+	// whose late mark holds at Now (RequestState.LateHolds): a planner that
+	// stamped the mark already found each one definitely late, and the
+	// verdict still stands. LateDue[i] is Late[i].Late.Deadline, so a planner
+	// can rank the late set by one sequential read per request. Only a
+	// scheduler that stamps marks (core with caching off) can see Late
+	// non-empty; every other scheduler finds all of its requests in Pending.
+	// A hand-built context may leave Late empty and put every request in
+	// Pending.
+	//
+	// All three may alias the caller's lists (the control loop passes its
+	// own, not copies). Schedulers and observers must treat them as
+	// read-only, and may read them only during Plan and the synchronous
 	// PlanComputed/Planned hooks: dispatch removes the started requests from
-	// that queue right after, shifting the slice's elements in place.
+	// those lists right after, shifting their elements in place.
 	Pending []*RequestState
+	Late    []*RequestState
+	LateDue []time.Duration
 	// Running lists requests currently executing.
 	Running []*RequestState
 	// Tracked optionally maps every request the caller tracks, pending or
 	// running, to its state — the control loop passes its request tracker,
-	// which lives across rounds. A caller that sets it guarantees Pending
-	// holds exactly the tracked states that are not Running and have steps
-	// left; PendingState then answers from it in O(1) instead of scanning
-	// Pending. Read-only for schedulers and observers.
+	// which lives across rounds. A caller that sets it guarantees Pending and
+	// Late together hold exactly the tracked states that are not Running and
+	// have steps left; PendingState then answers from it in O(1) instead of
+	// scanning both. Read-only for schedulers and observers.
 	Tracked map[workload.RequestID]*RequestState
 	// Profile is the offline-profiled cost model.
 	Profile *costmodel.Profile
@@ -201,8 +238,8 @@ type PlanContext struct {
 }
 
 // PendingState returns the state of the request with the given ID if it is
-// in Pending. With Tracked set it costs one map read, whatever the queue
-// depth; hand-built contexts without it fall back to a scan of Pending.
+// in Pending or Late. With Tracked set it costs one map read, whatever the
+// queue depth; hand-built contexts without it fall back to a scan of both.
 func (c *PlanContext) PendingState(id workload.RequestID) (*RequestState, bool) {
 	if c.Tracked != nil {
 		st, ok := c.Tracked[id]
@@ -211,9 +248,11 @@ func (c *PlanContext) PendingState(id workload.RequestID) (*RequestState, bool) 
 		}
 		return st, true
 	}
-	for _, st := range c.Pending {
-		if st.Req.ID == id {
-			return st, true
+	for _, list := range [2][]*RequestState{c.Pending, c.Late} {
+		for _, st := range list {
+			if st.Req.ID == id {
+				return st, true
+			}
 		}
 	}
 	return nil, false
@@ -228,7 +267,8 @@ type Scheduler interface {
 	// on every arrival and completion instead).
 	RoundDuration() time.Duration
 	// Plan returns assignments to start now. Returned assignments must use
-	// disjoint subsets of ctx.Free and only requests from ctx.Pending.
+	// disjoint subsets of ctx.Free and only requests from ctx.Pending or
+	// ctx.Late.
 	//
 	// Ownership: the returned slice and the Requests slices inside it are
 	// only guaranteed valid until the next Plan call on the same scheduler —

@@ -86,7 +86,7 @@ func NewRoundLog(cap int) *RoundLog {
 func (l *RoundLog) OnPlanComputed(now, latency time.Duration, ctx *sched.PlanContext) {
 	l.cur.At = now
 	l.cur.PlanLatency = latency
-	l.cur.Pending = len(ctx.Pending)
+	l.cur.Pending = len(ctx.Pending) + len(ctx.Late)
 	l.cur.Running = len(ctx.Running)
 	l.cur.FreeGPUs = ctx.Free.Count()
 	l.cur.Rejected = ""

@@ -122,6 +122,37 @@ func TestRoundLogDecisionsFromTracker(t *testing.T) {
 	}
 }
 
+// TestRoundLogCountsLate: a record counts the requests the loop holds in
+// ctx.Late as pending and resolves their decisions, so splitting the same
+// requests across Pending and Late records the same round.
+func TestRoundLogCountsLate(t *testing.T) {
+	all := NewRoundLog(8)
+	fakeRound(all, time.Second, 1, 2)
+	want := fmt.Sprintf("%+v", all.Snapshot(0))
+
+	// The same round with request 2 in Late.
+	split := NewRoundLog(8)
+	var sts []*sched.RequestState
+	for _, id := range []workload.RequestID{1, 2} {
+		sts = append(sts, &sched.RequestState{
+			Req:       &workload.Request{ID: id, Res: model.Res512, Steps: 50, SLO: 2 * time.Second},
+			Remaining: 50,
+		})
+	}
+	ctx := &sched.PlanContext{
+		Now: time.Second, Free: simgpu.MaskOf(0) | simgpu.MaskOf(1),
+		Pending: sts[:1], Late: sts[1:], LateDue: []time.Duration{time.Second},
+		Profile: roundsProf,
+	}
+	split.OnPlanComputed(time.Second, 42*time.Microsecond, ctx)
+	split.OnPlanned(time.Second, ctx, []sched.Assignment{{
+		Requests: []workload.RequestID{1, 2}, Group: simgpu.MaskOf(0) | simgpu.MaskOf(1), Steps: 10,
+	}})
+	if got := fmt.Sprintf("%+v", split.Snapshot(0)); got != want {
+		t.Fatalf("split record:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestRoundLogRejected(t *testing.T) {
 	l := NewRoundLog(8)
 	ctx := &sched.PlanContext{Now: time.Second, Profile: roundsProf}
