@@ -21,9 +21,12 @@
 //
 // Observers follow per-request lifecycle transitions through Hooks (the
 // lifecycle recorder, the telemetry plane, the invariant oracle); everything
-// else — outcomes and their counts, run records, plan latencies, health
+// else — outcomes and their counts, the run log, plan counts, health
 // counters — accumulates in the shared Result, which is why the simulator's
-// trace export and the driver's /v1/stats agree by construction.
+// trace export and the driver's /v1/stats agree by construction. The run log
+// is pointer-free (RunRecord plus one flat member-ID list), so however long a
+// loop serves, the collector never scans its history. The loop keeps no
+// per-plan timings: observers that want them take PlanComputed.
 package control
 
 import (
@@ -291,9 +294,6 @@ type Loop struct {
 	// request tracker.
 	running []*sched.RequestState
 	checker sched.PlanChecker
-	// recArena backs RunRecord.Requests for all records in res.Runs, grown
-	// in place instead of one clone per record.
-	recArena []workload.RequestID
 	// resTable is the digest's per-resolution table for resHealthy GPUs at
 	// profile version resVersion (see resolutionDigests).
 	resTable   []ResolutionDigest
@@ -531,18 +531,7 @@ func (l *Loop) onRunDone(now time.Duration, run *engine.Run) error {
 	}
 	delete(l.inflight, run.ID)
 	delete(l.runEv, run.ID)
-	l.res.Runs = append(l.res.Runs, RunRecord{
-		Start:         run.Start,
-		End:           run.End,
-		Degree:        run.Degree,
-		Steps:         run.Asg.Steps,
-		Requests:      l.captureIDs(run.Asg.Requests),
-		Res:           run.Res,
-		Group:         run.Asg.Group,
-		BestEffort:    run.Asg.BestEffort,
-		Batched:       run.Batched,
-		CacheInterval: run.Asg.CacheInterval,
-	})
+	l.logRun(run, run.End, false, false)
 
 	// Iterate members in assignment order, not map order, so decode-queue
 	// ordering (and therefore completion times) is deterministic.
@@ -580,13 +569,22 @@ func (l *Loop) onRunDone(now time.Duration, run *engine.Run) error {
 	return nil
 }
 
-// captureIDs copies a run's member list into the loop's record arena,
-// returning a full-capacity-clipped slice that stays valid for the life of
-// the result (arena growth re-points the arena, not issued slices).
-func (l *Loop) captureIDs(ids []workload.RequestID) []workload.RequestID {
-	n := len(l.recArena)
-	l.recArena = append(l.recArena, ids...)
-	return l.recArena[n:len(l.recArena):len(l.recArena)]
+// logRun appends run's record, ending at end, to the result's run log.
+// aborted marks a block a fault or a resize cut short, preempted the resize.
+func (l *Loop) logRun(run *engine.Run, end time.Duration, aborted, preempted bool) {
+	l.res.AppendRun(RunRecord{
+		Start:         run.Start,
+		End:           end,
+		Res:           run.Res,
+		Group:         run.Asg.Group,
+		Degree:        int32(run.Degree),
+		Steps:         int32(run.Asg.Steps),
+		CacheInterval: int32(run.Asg.CacheInterval),
+		BestEffort:    run.Asg.BestEffort,
+		Batched:       run.Batched,
+		Aborted:       aborted,
+		Preempted:     preempted,
+	}, run.Asg.Requests)
 }
 
 // onRoundTick fires a τ boundary. at is the tick's scheduled time (the grid
@@ -658,7 +656,6 @@ func (l *Loop) plan(now time.Duration) {
 	start := time.Now()
 	plan := l.cfg.Scheduler.Plan(ctx)
 	solve := time.Since(start)
-	l.res.PlanLatencies = append(l.res.PlanLatencies, solve)
 	l.res.PlanCalls++
 	if l.cfg.Hooks.PlanComputed != nil {
 		l.cfg.Hooks.PlanComputed(now, solve, ctx)
@@ -771,17 +768,8 @@ func (l *Loop) onGPUFail(now time.Duration, mask simgpu.Mask) {
 	if newly := l.eng.FailedGPUs().Without(prevFailed); newly != 0 && l.cfg.Hooks.GPUFailed != nil {
 		l.cfg.Hooks.GPUFailed(now, newly)
 	}
-	// The engine surfaces aborts in map order; sort for a deterministic
-	// requeue (and therefore pending) order.
-	slices.SortFunc(failures, func(a, b *engine.RunFailure) int {
-		if a.Run.ID < b.Run.ID {
-			return -1
-		}
-		if a.Run.ID > b.Run.ID {
-			return 1
-		}
-		return 0
-	})
+	// The engine returns aborts in run-ID order, so the requeue (and
+	// therefore pending) order is deterministic.
 	for _, f := range failures {
 		if l.cfg.Hooks.RunAborted != nil {
 			l.cfg.Hooks.RunAborted(now, f.Run, f.StepsDone)
@@ -791,19 +779,7 @@ func (l *Loop) onGPUFail(now time.Duration, mask simgpu.Mask) {
 			delete(l.runEv, f.Run.ID)
 		}
 		delete(l.inflight, f.Run.ID)
-		l.res.Runs = append(l.res.Runs, RunRecord{
-			Start:         f.Run.Start,
-			End:           now,
-			Degree:        f.Run.Degree,
-			Steps:         f.Run.Asg.Steps,
-			Requests:      l.captureIDs(f.Run.Asg.Requests),
-			Res:           f.Run.Res,
-			Group:         f.Run.Asg.Group,
-			BestEffort:    f.Run.Asg.BestEffort,
-			Batched:       f.Run.Batched,
-			CacheInterval: f.Run.Asg.CacheInterval,
-			Aborted:       true,
-		})
+		l.logRun(f.Run, now, true, false)
 		for _, id := range f.Run.Asg.Requests {
 			done, ok := f.StepsDone[id]
 			if !ok {
@@ -872,17 +848,7 @@ func (l *Loop) applyResize(now time.Duration, newMask simgpu.Mask) {
 	if l.cfg.Hooks.Resized != nil {
 		l.cfg.Hooks.Resized(now, removed, added)
 	}
-	// The engine surfaces preemptions in map order; sort for a deterministic
-	// requeue (and therefore pending) order.
-	slices.SortFunc(preemptions, func(a, b *engine.RunPreemption) int {
-		if a.Run.ID < b.Run.ID {
-			return -1
-		}
-		if a.Run.ID > b.Run.ID {
-			return 1
-		}
-		return 0
-	})
+	// Run-ID order, as on the fault path.
 	for _, p := range preemptions {
 		if l.cfg.Hooks.RunPreempted != nil {
 			l.cfg.Hooks.RunPreempted(now, p.Run, p.StepsDone)
@@ -892,20 +858,7 @@ func (l *Loop) applyResize(now time.Duration, newMask simgpu.Mask) {
 			delete(l.runEv, p.Run.ID)
 		}
 		delete(l.inflight, p.Run.ID)
-		l.res.Runs = append(l.res.Runs, RunRecord{
-			Start:         p.Run.Start,
-			End:           now,
-			Degree:        p.Run.Degree,
-			Steps:         p.Run.Asg.Steps,
-			Requests:      l.captureIDs(p.Run.Asg.Requests),
-			Res:           p.Run.Res,
-			Group:         p.Run.Asg.Group,
-			BestEffort:    p.Run.Asg.BestEffort,
-			Batched:       p.Run.Batched,
-			CacheInterval: p.Run.Asg.CacheInterval,
-			Aborted:       true,
-			Preempted:     true,
-		})
+		l.logRun(p.Run, now, true, true)
 		for _, id := range p.Run.Asg.Requests {
 			done, ok := p.StepsDone[id]
 			if !ok {

@@ -331,7 +331,7 @@ func TestLateDispatchStaysOnGrid(t *testing.T) {
 // TestControlRoundTickZeroAlloc is the loop-side allocation guard: with the
 // queue in steady state, one event dispatch — plan, engine start/finish,
 // tracker bookkeeping, event recycling — must not allocate. The result
-// accumulators (Outcomes, Runs, PlanLatencies, the run-record arena) grow by
+// accumulators (Outcomes, Runs and the run log's member IDs) grow by
 // append; testing.AllocsPerRun truncates the mean to a whole number, so their
 // amortized doubling averages to 0 over 2000 dispatches, while a per-event
 // allocation anywhere in plan, engine or tracker bookkeeping still reads ≥ 1.

@@ -45,19 +45,28 @@ type Outcome struct {
 	Approximated int
 }
 
-// RunRecord logs one executed block for timeline metrics.
+// RunRecord logs one executed block for timeline metrics. It holds no
+// pointer, so a run log of any length costs the garbage collector nothing to
+// scan: the block's members live on its Result's ID log (Result.RunIDs) and
+// the record keeps only their offset and count there. Read them with
+// Result.RunRequests.
 type RunRecord struct {
 	Start, End time.Duration
-	Degree     int
-	Steps      int
-	Requests   []workload.RequestID
 	Res        model.Resolution
 	Group      simgpu.Mask
-	BestEffort bool
-	Batched    bool
+	// off and n locate the members on Result.RunIDs. The offset is 64-bit
+	// because a long-lived shard's log can pass 2³¹ IDs.
+	off int64
+	n   int32
+	// Degree and Steps share one integer type so their product needs no
+	// conversion.
+	Degree int32
+	Steps  int32
 	// CacheInterval > 1 marks a cache-assisted block (every interval-th step
 	// computed, the rest approximated).
-	CacheInterval int
+	CacheInterval int32
+	BestEffort    bool
+	Batched       bool
 	// Aborted marks a block killed mid-flight by a GPU fault; End is the
 	// fault time, not the planned completion.
 	Aborted bool
@@ -74,13 +83,15 @@ func (r RunRecord) GPUs() []simgpu.GPUID { return r.Group.IDs() }
 // same structure feeds metrics, Gantt rendering, and trace export in both
 // worlds.
 type Result struct {
-	SchedulerName  string
-	NGPU           int
-	Outcomes       []Outcome
-	Runs           []RunRecord
+	SchedulerName string
+	NGPU          int
+	Outcomes      []Outcome
+	Runs          []RunRecord
+	// RunIDs is the run log's member list: every record's members, appended
+	// in record order. RunRequests(i) is Runs[i]'s share of it.
+	RunIDs         []workload.RequestID
 	Makespan       time.Duration
 	GPUBusySeconds float64
-	PlanLatencies  []time.Duration
 	PlanCalls      int
 	Remaps         int
 	Warmups        int
@@ -102,16 +113,30 @@ type Result struct {
 	Completed, Met, Dropped int
 }
 
+// AppendRun logs one block: rec, with ids as its members. It copies ids, so
+// the caller may reuse them.
+func (r *Result) AppendRun(rec RunRecord, ids []workload.RequestID) {
+	rec.off, rec.n = int64(len(r.RunIDs)), int32(len(ids))
+	r.RunIDs = append(r.RunIDs, ids...)
+	r.Runs = append(r.Runs, rec)
+}
+
+// RunRequests returns the members of Runs[i] in assignment order. The slice
+// aliases the ID log with its capacity clipped, so appending to it cannot
+// overwrite another record's members; do not modify its elements.
+func (r *Result) RunRequests(i int) []workload.RequestID {
+	rec := &r.Runs[i]
+	end := rec.off + int64(rec.n)
+	return r.RunIDs[rec.off:end:end]
+}
+
 // Clone returns a deep copy safe to hand across goroutines (the online
-// driver snapshots the loop-owned result this way).
+// driver snapshots the loop-owned result this way). No element holds a
+// mutable reference, so it is three bulk copies whatever the log's length.
 func (r *Result) Clone() *Result {
 	c := *r
 	c.Outcomes = append([]Outcome(nil), r.Outcomes...)
-	c.Runs = make([]RunRecord, len(r.Runs))
-	for i, rec := range r.Runs {
-		rec.Requests = append([]workload.RequestID(nil), rec.Requests...)
-		c.Runs[i] = rec
-	}
-	c.PlanLatencies = append([]time.Duration(nil), r.PlanLatencies...)
+	c.Runs = append([]RunRecord(nil), r.Runs...)
+	c.RunIDs = append([]workload.RequestID(nil), r.RunIDs...)
 	return &c
 }

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"tetriserve/internal/simgpu"
@@ -46,9 +48,9 @@ func (e *Engine) RunsAborted() int { return e.runsAborted }
 // Warm process groups containing a dead GPU are invalidated, so rebuilt
 // groups pay NCCL warm-up again.
 //
-// Callers own the event bookkeeping: an aborted run's completion event must
-// be cancelled, since the engine has already retired it and a later Finish
-// would error.
+// Failures come in run-ID order. Callers own the event bookkeeping: an
+// aborted run's completion event must be cancelled, since the engine has
+// already retired it and a later Finish would error.
 func (e *Engine) FailGPUs(now time.Duration, mask simgpu.Mask) []*RunFailure {
 	newly := (mask & e.topo.AllMask()).Without(e.failed)
 	if newly == 0 {
@@ -84,7 +86,6 @@ func (e *Engine) FailGPUs(now time.Duration, mask simgpu.Mask) []*RunFailure {
 		}
 		delete(e.runs, run.ID)
 		e.free = e.free.Union(run.Asg.Group.Without(e.failed))
-		e.gpuBusySeconds += float64(run.Degree) * (now - run.Start).Seconds()
 		e.runsAborted++
 		failures = append(failures, &RunFailure{
 			Run:       run,
@@ -92,6 +93,12 @@ func (e *Engine) FailGPUs(now time.Duration, mask simgpu.Mask) []*RunFailure {
 			At:        now,
 			StepsDone: stepsDone,
 		})
+	}
+	// The map walk above visits runs in random order. Callers requeue in
+	// the order returned, and a float sum depends on the order of its terms.
+	slices.SortFunc(failures, func(a, b *RunFailure) int { return cmp.Compare(a.Run.ID, b.Run.ID) })
+	for _, f := range failures {
+		e.gpuBusySeconds += float64(f.Run.Degree) * (now - f.Run.Start).Seconds()
 	}
 
 	// Latents of parked requests (between blocks) lose their dead shards too.

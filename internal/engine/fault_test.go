@@ -171,3 +171,55 @@ func TestFaultInvalidatesWarmGroups(t *testing.T) {
 		t.Fatal("rebuilt group should pay warm-up after the fault tore it down")
 	}
 }
+
+// TestInterruptsRetireInRunIDOrder: a fault or a shrink that cuts several
+// blocks short returns them in run-ID order and adds their GPU·seconds in
+// that order, so the busy total does not depend on the engine's map walk
+// (float addition is not associative). Each trial starts eight one-GPU
+// blocks at staggered instants on a fresh engine.
+func TestInterruptsRetireInRunIDOrder(t *testing.T) {
+	interrupts := map[string]func(e *Engine, now time.Duration) []*Run{
+		"fault": func(e *Engine, now time.Duration) []*Run {
+			var runs []*Run
+			for _, f := range e.FailGPUs(now, testTopo.AllMask()) {
+				runs = append(runs, f.Run)
+			}
+			return runs
+		},
+		"resize": func(e *Engine, now time.Duration) []*Run {
+			var runs []*Run
+			for _, p := range e.Resize(now, 0) {
+				runs = append(runs, p.Run)
+			}
+			return runs
+		},
+	}
+	for name, interrupt := range interrupts {
+		t.Run(name, func(t *testing.T) {
+			for trial := 0; trial < 20; trial++ {
+				e := newEngine(t, func(c *Config) { c.Noise = 0 })
+				for g := 0; g < testTopo.N; g++ {
+					start := time.Duration(g)*37*time.Millisecond + time.Duration(g*g)*time.Microsecond
+					if _, err := e.Start(start, asg(simgpu.MaskOf(simgpu.GPUID(g)), 50, g), mkStates(model.Res1024, 50, g), 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				now := 2 * time.Second
+				runs := interrupt(e, now)
+				if len(runs) != testTopo.N {
+					t.Fatalf("%d blocks interrupted, want %d", len(runs), testTopo.N)
+				}
+				want := 0.0
+				for i, run := range runs {
+					if i > 0 && run.ID <= runs[i-1].ID {
+						t.Fatalf("trial %d: run %d returned after run %d", trial, run.ID, runs[i-1].ID)
+					}
+					want += float64(run.Degree) * (now - run.Start).Seconds()
+				}
+				if got := e.GPUBusySeconds(); got != want {
+					t.Fatalf("trial %d: busy %v GPU·s, %v summed in run-ID order", trial, got, want)
+				}
+			}
+		})
+	}
+}

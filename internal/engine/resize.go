@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"tetriserve/internal/simgpu"
@@ -52,8 +54,9 @@ func (e *Engine) Resizes() int { return e.resizes }
 //   - arriving GPUs join the free pool immediately (cold: their warm groups,
 //     if any, belong to their previous owner) unless currently failed.
 //
-// Callers own the event bookkeeping exactly as for FailGPUs: a preempted
-// run's completion event must be cancelled.
+// Preemptions come in run-ID order. Callers own the event bookkeeping
+// exactly as for FailGPUs: a preempted run's completion event must be
+// cancelled.
 func (e *Engine) Resize(now time.Duration, newMask simgpu.Mask) []*RunPreemption {
 	newMask &= e.topo.AllMask()
 	departing := e.capacity.Without(newMask)
@@ -91,7 +94,6 @@ func (e *Engine) Resize(now time.Duration, newMask simgpu.Mask) []*RunPreemption
 		}
 		delete(e.runs, run.ID)
 		e.free = e.free.Union(run.Asg.Group.Without(departing).Without(e.failed))
-		e.gpuBusySeconds += float64(run.Degree) * (now - run.Start).Seconds()
 		e.runsPreempted++
 		preemptions = append(preemptions, &RunPreemption{
 			Run:       run,
@@ -99,6 +101,11 @@ func (e *Engine) Resize(now time.Duration, newMask simgpu.Mask) []*RunPreemption
 			At:        now,
 			StepsDone: stepsDone,
 		})
+	}
+	// Run-ID order, as in FailGPUs: the map walk's order is random.
+	slices.SortFunc(preemptions, func(a, b *RunPreemption) int { return cmp.Compare(a.Run.ID, b.Run.ID) })
+	for _, p := range preemptions {
+		e.gpuBusySeconds += float64(p.Run.Degree) * (now - p.Run.Start).Seconds()
 	}
 
 	// Parked latents lose their departed shards too — the devices now belong

@@ -68,14 +68,19 @@ func Render(res *control.Result, cfg Config) string {
 	for g := range rows {
 		rows[g] = []rune(strings.Repeat(".", cfg.Width))
 	}
-	runs := append([]control.RunRecord(nil), res.Runs...)
-	sort.Slice(runs, func(i, j int) bool { return runs[i].Start < runs[j].Start })
-	for _, r := range runs {
+	order := make([]int, len(res.Runs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return res.Runs[order[i]].Start < res.Runs[order[j]].Start })
+	for _, i := range order {
+		r := &res.Runs[i]
 		if r.End <= cfg.From || r.Start >= to {
 			continue // outside the window: not drawn, not in the legend
 		}
-		glyph := glyphFor(r.Requests[0])
-		if len(r.Requests) > 1 {
+		members := res.RunRequests(i)
+		glyph := glyphFor(members[0])
+		if len(members) > 1 {
 			glyph = '#' // batched block
 		}
 		c0 := int((r.Start - cfg.From) / bucket)

@@ -12,24 +12,19 @@ import (
 )
 
 func mkResult() *sim.Result {
-	return &sim.Result{
-		NGPU: 4,
-		Runs: []sim.RunRecord{
-			{
-				Start: 0, End: time.Second, Degree: 2,
-				Requests: []workload.RequestID{1},
-				Res:      model.Res1024,
-				Group:    simgpu.MaskOf(0, 1),
-			},
-			{
-				Start: time.Second, End: 2 * time.Second, Degree: 1,
-				Requests: []workload.RequestID{2, 3},
-				Res:      model.Res256,
-				Group:    simgpu.MaskOf(3),
-				Batched:  true,
-			},
-		},
-	}
+	res := &sim.Result{NGPU: 4}
+	res.AppendRun(sim.RunRecord{
+		Start: 0, End: time.Second, Degree: 2,
+		Res:   model.Res1024,
+		Group: simgpu.MaskOf(0, 1),
+	}, []workload.RequestID{1})
+	res.AppendRun(sim.RunRecord{
+		Start: time.Second, End: 2 * time.Second, Degree: 1,
+		Res:     model.Res256,
+		Group:   simgpu.MaskOf(3),
+		Batched: true,
+	}, []workload.RequestID{2, 3})
+	return res
 }
 
 func TestRenderBasics(t *testing.T) {
@@ -99,5 +94,39 @@ func TestRenderIdleGPUsAllDots(t *testing.T) {
 				t.Fatalf("GPU2 never ran anything but shows %q", body)
 			}
 		}
+	}
+}
+
+// TestRenderLogOutOfStartOrder: a log whose records are not in start order
+// (a preempted block is logged at the resize, after later-starting blocks
+// finished) still draws each block with its own members.
+func TestRenderLogOutOfStartOrder(t *testing.T) {
+	res := &sim.Result{NGPU: 4}
+	res.AppendRun(sim.RunRecord{
+		Start: time.Second, End: 2 * time.Second, Degree: 1,
+		Res:     model.Res256,
+		Group:   simgpu.MaskOf(3),
+		Batched: true,
+	}, []workload.RequestID{2, 3})
+	res.AppendRun(sim.RunRecord{
+		Start: 0, End: time.Second, Degree: 2,
+		Res:   model.Res1024,
+		Group: simgpu.MaskOf(0, 1),
+	}, []workload.RequestID{1})
+	out := Render(res, Config{Width: 20})
+	for _, l := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(l, "GPU0"):
+			if !strings.Contains(l, "|1111111111..........|") {
+				t.Fatalf("GPU0 should carry request 1 in the first half: %q", l)
+			}
+		case strings.HasPrefix(l, "GPU3"):
+			if !strings.Contains(l, "|..........##########|") {
+				t.Fatalf("GPU3 should carry the batch in the second half: %q", l)
+			}
+		}
+	}
+	if !strings.Contains(out, "1=req1") {
+		t.Fatalf("legend missing request 1:\n%s", out)
 	}
 }

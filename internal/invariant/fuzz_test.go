@@ -395,7 +395,8 @@ func fuzzSimConfig(seed uint64, nReqSel, schedPick, faultPick, rateSel uint8) si
 // FuzzControlLoop runs seeded workload/fault instances through the full
 // control loop with the oracle attached (strict mode: any invariant breach
 // panics and the fuzzer records the input), then re-runs the same input and
-// demands identical outcomes — end-to-end determinism of the whole stack.
+// demands an identical result — outcomes, run log, counters — end-to-end
+// determinism of the whole stack.
 func FuzzControlLoop(f *testing.F) {
 	f.Add(uint64(3), uint8(10), uint8(0), uint8(0), uint8(2))
 	f.Add(uint64(11), uint8(20), uint8(0), uint8(2), uint8(4))
@@ -417,11 +418,8 @@ func FuzzControlLoop(f *testing.F) {
 			return res
 		}
 		a, b := run(), run()
-		if !reflect.DeepEqual(a.Outcomes, b.Outcomes) {
-			t.Fatalf("control loop is nondeterministic:\n first: %+v\nsecond: %+v", a.Outcomes, b.Outcomes)
-		}
-		if a.Remaps != b.Remaps || a.RunsAborted != b.RunsAborted || a.Makespan != b.Makespan {
-			t.Fatalf("control loop telemetry diverged: %+v vs %+v", a, b)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("control loop is nondeterministic:\n first: %+v\nsecond: %+v", a, b)
 		}
 	})
 }
@@ -532,12 +530,8 @@ func FuzzCacheAwarePlan(f *testing.F) {
 			return res
 		}
 		a, b := run(), run()
-		if !reflect.DeepEqual(a.Outcomes, b.Outcomes) {
-			t.Fatalf("cache-aware loop is nondeterministic:\n first: %+v\nsecond: %+v", a.Outcomes, b.Outcomes)
-		}
-		if a.Resizes != b.Resizes || a.RunsPreempted != b.RunsPreempted ||
-			a.RunsAborted != b.RunsAborted || a.Makespan != b.Makespan {
-			t.Fatalf("cache-aware loop telemetry diverged: %+v vs %+v", a, b)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("cache-aware loop is nondeterministic:\n first: %+v\nsecond: %+v", a, b)
 		}
 		// Budget conservation, double-checked outside the oracle: the budget
 		// each request was admitted with bounds its finalized approximation.
@@ -579,12 +573,8 @@ func FuzzElasticControlLoop(f *testing.F) {
 			return res
 		}
 		a, b := run(), run()
-		if !reflect.DeepEqual(a.Outcomes, b.Outcomes) {
-			t.Fatalf("elastic control loop is nondeterministic:\n first: %+v\nsecond: %+v", a.Outcomes, b.Outcomes)
-		}
-		if a.Resizes != b.Resizes || a.RunsPreempted != b.RunsPreempted ||
-			a.RunsAborted != b.RunsAborted || a.Makespan != b.Makespan {
-			t.Fatalf("elastic control loop telemetry diverged: %+v vs %+v", a, b)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("elastic control loop is nondeterministic:\n first: %+v\nsecond: %+v", a, b)
 		}
 	})
 }

@@ -82,7 +82,7 @@ func TestCacheKnobsOffBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(got.Outcomes, baseline.Outcomes) {
 				t.Fatalf("seed %d %s: outcomes diverge from cache-oblivious baseline", seed, pl.name)
 			}
-			if !reflect.DeepEqual(got.Runs, baseline.Runs) {
+			if !reflect.DeepEqual(got.Runs, baseline.Runs) || !reflect.DeepEqual(got.RunIDs, baseline.RunIDs) {
 				t.Fatalf("seed %d %s: run records diverge from cache-oblivious baseline", seed, pl.name)
 			}
 			if got.GPUBusySeconds != baseline.GPUBusySeconds {

@@ -173,17 +173,6 @@ func GPUSecondsPerRequest(res *control.Result) float64 {
 	return res.GPUBusySeconds / float64(len(res.Outcomes))
 }
 
-// MaxPlanLatency returns the worst scheduler decision latency observed.
-func MaxPlanLatency(res *control.Result) time.Duration {
-	max := time.Duration(0)
-	for _, d := range res.PlanLatencies {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // BatchedShare returns the fraction of executed blocks that were batched.
 func BatchedShare(res *control.Result) float64 {
 	if len(res.Runs) == 0 {

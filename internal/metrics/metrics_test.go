@@ -156,14 +156,6 @@ func TestGPUSecondsPerRequest(t *testing.T) {
 	}
 }
 
-func TestMaxPlanLatency(t *testing.T) {
-	r := mkResult(out(1, model.Res256, 0, time.Second, true))
-	r.PlanLatencies = []time.Duration{time.Millisecond, 5 * time.Millisecond, 2 * time.Millisecond}
-	if got := MaxPlanLatency(r); got != 5*time.Millisecond {
-		t.Fatalf("max plan latency = %v", got)
-	}
-}
-
 func TestBatchedShare(t *testing.T) {
 	r := mkResult(out(1, model.Res256, 0, time.Second, true))
 	r.Runs = []sim.RunRecord{{Batched: true}, {Batched: false}, {Batched: true}, {Batched: false}}

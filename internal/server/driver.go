@@ -460,10 +460,12 @@ func (d *Driver) jobView(tl *lifecycle.Timeline) Job {
 }
 
 // Result returns a point-in-time snapshot of the control loop's result —
-// outcomes, run records, plan latencies, health counters — the same
-// structure the simulator returns, so trace export and Gantt rendering work
-// identically against live traffic. Safe to call concurrently; after Stop
-// it returns the loop's final state.
+// outcomes, the run log, plan counts, health counters — the same structure
+// the simulator returns, so trace export and Gantt rendering work
+// identically against live traffic. The loop goroutine takes the snapshot
+// with three bulk copies (outcomes, run records, the run log's member IDs),
+// whatever the log's length. Safe to call concurrently; after Stop it
+// returns the loop's final state.
 func (d *Driver) Result() *control.Result {
 	if !d.started.Load() {
 		return &control.Result{SchedulerName: d.cfg.Scheduler.Name(), NGPU: d.cfg.Topo.N}

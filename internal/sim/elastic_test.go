@@ -105,8 +105,8 @@ func TestResizesInterleavedWithFaultsDeterministic(t *testing.T) {
 		t.Fatalf("run counts diverged: %d vs %d", len(a.Runs), len(b.Runs))
 	}
 	for i := range a.Runs {
-		if !reflect.DeepEqual(a.Runs[i], b.Runs[i]) {
-			t.Fatalf("run record %d diverged:\n%+v\n%+v", i, a.Runs[i], b.Runs[i])
+		if !reflect.DeepEqual(a.Runs[i], b.Runs[i]) || !reflect.DeepEqual(a.RunRequests(i), b.RunRequests(i)) {
+			t.Fatalf("run record %d diverged:\n%+v %v\n%+v %v", i, a.Runs[i], a.RunRequests(i), b.Runs[i], b.RunRequests(i))
 		}
 	}
 	if a.Resizes != b.Resizes || a.RunsPreempted != b.RunsPreempted ||

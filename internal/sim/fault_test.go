@@ -46,10 +46,10 @@ func TestMidRunFaultRequeuesAndCompletes(t *testing.T) {
 		t.Fatal("faults landed on an idle cluster; the scenario exercises nothing")
 	}
 
-	var aborted []RunRecord
-	for _, rec := range res.Runs {
+	var aborted []int // indexes into res.Runs
+	for i, rec := range res.Runs {
 		if rec.Aborted {
-			aborted = append(aborted, rec)
+			aborted = append(aborted, i)
 			if rec.End != failAt && rec.End != failAt2 {
 				t.Fatalf("aborted block ends at %v, want a fault instant", rec.End)
 			}
@@ -74,13 +74,13 @@ func TestMidRunFaultRequeuesAndCompletes(t *testing.T) {
 		outcome[o.ID] = o
 	}
 	recovered := 0
-	for _, rec := range aborted {
-		for _, id := range rec.Requests {
+	for _, i := range aborted {
+		for _, id := range res.RunRequests(i) {
 			o, ok := outcome[id]
 			if !ok {
 				t.Fatalf("aborted request %d has no outcome", id)
 			}
-			if !o.Dropped && o.Completion > rec.End {
+			if !o.Dropped && o.Completion > res.Runs[i].End {
 				recovered++
 			}
 		}

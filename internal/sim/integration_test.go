@@ -79,7 +79,7 @@ func TestSchedulerInvariantsAcrossPolicies(t *testing.T) {
 			if k == 0 || k&(k-1) != 0 {
 				t.Fatalf("%s: block group %v not a power of two", sc.Name(), rec.Group)
 			}
-			if rec.Degree != k {
+			if int(rec.Degree) != k {
 				t.Fatalf("%s: degree field %d disagrees with group %v", sc.Name(), rec.Degree, rec.Group)
 			}
 		}

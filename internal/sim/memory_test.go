@@ -15,15 +15,17 @@ import (
 // preallocated buffers sized to the whole trace it measured 9.4 KB. The
 // budget sits between the two, so that preallocation cannot come back
 // unnoticed; twice the measured value would not tell them apart. Since the
-// lifecycle recorder keeps compact span records it measures 4.3 KB.
+// lifecycle recorder keeps compact span records it measured 4.4 KB, and
+// since run records hold no member slice of their own, 3.8 KB.
 const allocBudgetPerRequest = 8 << 10
 
 // recycledAllocBudgetPerRequest bounds the same harness with 256-timeline
 // lifecycle rings, which 4 000 requests over four shards wrap about three
 // times, so that most admissions reuse an evicted record. The test
-// measures 3.4 KB per request there; a recorder that allocated a fresh
-// timeline per request and grew its span slice as it went measured 6.4 KB.
-// The budget sits between the two.
+// measured 3.4 KB per request there, and 2.8 KB since run records hold no
+// member slice of their own; a recorder that allocated a fresh timeline per
+// request and grew its span slice as it went measured 6.4 KB. The budget
+// sits between the two.
 const recycledAllocBudgetPerRequest = 4608
 
 // TestRunShardedAllocPerRequest is the memory regression guard for the
@@ -73,5 +75,49 @@ func TestRunShardedAllocPerRequest(t *testing.T) {
 				t.Fatalf("RunSharded allocated %d B per offered request, budget %d", perReq, tc.budget)
 			}
 		})
+	}
+}
+
+// retainedBudgetPerRequest bounds the heap the same fleet run's result keeps
+// reachable per offered request once a collection has run. With run records
+// that held their members in a slice, re-pointed into an arena whose
+// outgrown backing arrays older records kept alive, the test measured
+// 1761 B (Go 1.24, linux/amd64; deterministic to a few bytes, 1753 B under
+// -race). Pointer-free records over one member-ID log measure 1491 B. The
+// budget sits between the two.
+const retainedBudgetPerRequest = 1600
+
+// TestRunShardedRetainedPerRequest is the retained-memory guard for the same
+// fleet shape: what the result keeps live after a GC, per offered request.
+// The lifecycle rings hold most of it; the run log, which grows with every
+// block the loops ran, is the part that grows with history.
+func TestRunShardedRetainedPerRequest(t *testing.T) {
+	trace := smallMixTrace(4000, 1, 30, 1.2)
+	specs := shardSpecs(4, 8)
+	for i := range specs {
+		specs[i].Capacity = simgpu.MaskRange(0, 2)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := RunSharded(ShardedConfig{
+		Model:          testMdl,
+		Shards:         specs,
+		Requests:       trace,
+		Rebalance:      &RebalanceConfig{},
+		Lifecycle:      true,
+		DropLateFactor: 4,
+		MaxVirtualTime: 24 * time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(res)
+	perReq := int64(after.HeapAlloc-before.HeapAlloc) / int64(len(trace))
+	t.Logf("RunSharded's result retains %d B per offered request", perReq)
+	if perReq > retainedBudgetPerRequest {
+		t.Fatalf("RunSharded's result retains %d B per offered request, budget %d", perReq, retainedBudgetPerRequest)
 	}
 }

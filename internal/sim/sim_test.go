@@ -119,7 +119,7 @@ func TestRunLogConsistency(t *testing.T) {
 		if rec.Degree <= 0 || rec.Degree > 8 {
 			t.Fatalf("degree %d out of range", rec.Degree)
 		}
-		evs = append(evs, ev{rec.Start, rec.Degree}, ev{rec.End, -rec.Degree})
+		evs = append(evs, ev{rec.Start, int(rec.Degree)}, ev{rec.End, -int(rec.Degree)})
 	}
 	// Sweep: releases before acquisitions at equal timestamps.
 	sort.Slice(evs, func(i, j int) bool {
@@ -163,9 +163,7 @@ func TestDeterministicReplay(t *testing.T) {
 // sequence — the results match field for field, RoundTicks included.
 func TestRoundTickHookLeavesRunUnchanged(t *testing.T) {
 	run := func(hooks control.Hooks) *Result {
-		res := runSim(t, tetri(), genTrace(40, 5, 1.0), func(c *Config) { c.Hooks = hooks })
-		res.PlanLatencies = nil // wall-clock solve times differ run to run
-		return res
+		return runSim(t, tetri(), genTrace(40, 5, 1.0), func(c *Config) { c.Hooks = hooks })
 	}
 	bare := run(control.Hooks{})
 	observed := run(control.Hooks{RoundTick: func(at, now time.Duration) {}})
@@ -208,13 +206,6 @@ func TestMakespanAndUtilization(t *testing.T) {
 	}
 	if res.GPUBusySeconds > res.Makespan.Seconds()*float64(res.NGPU) {
 		t.Fatal("busy time exceeds capacity")
-	}
-}
-
-func TestPlanLatenciesRecorded(t *testing.T) {
-	res := runSim(t, tetri(), genTrace(20, 19, 1.2))
-	if res.PlanCalls == 0 || len(res.PlanLatencies) != res.PlanCalls {
-		t.Fatalf("plan bookkeeping wrong: %d calls, %d latencies", res.PlanCalls, len(res.PlanLatencies))
 	}
 }
 

@@ -81,10 +81,11 @@ func FromResult(res *control.Result) []Event {
 			})
 		}
 	}
-	for _, r := range res.Runs {
-		ids := make([]int, len(r.Requests))
-		for i, id := range r.Requests {
-			ids[i] = int(id)
+	for i, r := range res.Runs {
+		members := res.RunRequests(i)
+		ids := make([]int, len(members))
+		for j, id := range members {
+			ids[j] = int(id)
 		}
 		gpus := make([]int, 0, r.Degree)
 		for _, g := range r.GPUs() {
@@ -93,13 +94,13 @@ func FromResult(res *control.Result) []Event {
 		evs = append(evs, Event{
 			AtUS: r.Start.Microseconds(), Kind: KindBlockStart,
 			Requests: ids, Resolution: r.Res.String(),
-			Degree: r.Degree, GPUs: gpus, Steps: r.Steps,
+			Degree: int(r.Degree), GPUs: gpus, Steps: int(r.Steps),
 			BestEffort: r.BestEffort, Batched: r.Batched,
 		})
 		evs = append(evs, Event{
 			AtUS: r.End.Microseconds(), Kind: KindBlockEnd,
 			Requests: ids, Resolution: r.Res.String(),
-			Degree: r.Degree, GPUs: gpus, Steps: r.Steps,
+			Degree: int(r.Degree), GPUs: gpus, Steps: int(r.Steps),
 			BestEffort: r.BestEffort, Batched: r.Batched,
 		})
 	}
