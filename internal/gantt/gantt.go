@@ -78,10 +78,9 @@ func Render(res *control.Result, cfg Config) string {
 		if r.End <= cfg.From || r.Start >= to {
 			continue // outside the window: not drawn, not in the legend
 		}
-		members := res.RunRequests(i)
-		glyph := glyphFor(members[0])
-		if len(members) > 1 {
-			glyph = '#' // batched block
+		glyph := '#' // batched block
+		if members := res.RunRequests(i); len(members) == 1 {
+			glyph = glyphFor(members[0])
 		}
 		c0 := int((r.Start - cfg.From) / bucket)
 		c1 := int((r.End - cfg.From) / bucket)

@@ -130,3 +130,46 @@ func TestRenderLogOutOfStartOrder(t *testing.T) {
 		t.Fatalf("legend missing request 1:\n%s", out)
 	}
 }
+
+// TestLegendListsOnlyDrawnGlyphs: every glyph the legend names is drawn
+// and every drawn request glyph is in the legend. Request 2 only ever runs
+// inside a batch, so it takes no glyph; request 3 also runs alone and does.
+func TestLegendListsOnlyDrawnGlyphs(t *testing.T) {
+	res := mkResult()
+	res.AppendRun(sim.RunRecord{
+		Start: 2 * time.Second, End: 3 * time.Second, Degree: 1,
+		Res:   model.Res256,
+		Group: simgpu.MaskOf(2),
+	}, []workload.RequestID{3})
+	out := Render(res, Config{Width: 30})
+	drawn := map[rune]bool{}
+	var legend []string
+	for _, l := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(l, "GPU"):
+			for _, g := range l[strings.Index(l, "|"):] {
+				if g != '|' && g != '.' && g != '#' {
+					drawn[g] = true
+				}
+			}
+		case strings.HasPrefix(l, "legend:"):
+			legend = strings.Fields(strings.TrimSuffix(strings.TrimPrefix(l, "legend:"), "  #=batched  .=idle"))
+		}
+	}
+	if got, want := strings.Join(legend, " "), "1=req1 2=req3"; got != want {
+		t.Errorf("legend = %q, want %q\n%s", got, want, out)
+	}
+	named := map[rune]bool{}
+	for _, e := range legend {
+		g := []rune(e)[0]
+		named[g] = true
+		if !drawn[g] {
+			t.Errorf("legend names %q, which no cell shows\n%s", e, out)
+		}
+	}
+	for g := range drawn {
+		if !named[g] {
+			t.Errorf("glyph %c is drawn but not in the legend\n%s", g, out)
+		}
+	}
+}
