@@ -323,3 +323,35 @@ func TestRouteClockAndTraceIDs(t *testing.T) {
 		t.Fatalf("trace %q, want t-3 (rejections take no number)", dec.TraceID)
 	}
 }
+
+// TestFairSumsInTenantNameOrder: the fair-share totals are summed in
+// tenant-name order, so identical runs compare a tenant against the same
+// float share. With three tenants, 0.1 + 0.2 + 0.3 depends on the order of
+// the additions; every call must return the sorted-order sum, and no call
+// may allocate.
+func TestFairSumsInTenantNameOrder(t *testing.T) {
+	vals := map[string]float64{"a": 0.1, "b": 0.2, "c": 0.3}
+	r, err := New(Config{TenantWeights: vals}, []Shard{&fakeShard{name: "s0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"c", "a", "b"} {
+		r.record(&Decision{Tenant: name, Reason: ReasonRouted}, vals[name])
+	}
+	wantTotal := 0.0
+	wantTotal += vals["a"]
+	wantTotal += vals["b"]
+	wantTotal += vals["c"]
+	if reordered := (0.0 + vals["b"] + vals["c"]) + vals["a"]; reordered == wantTotal {
+		t.Fatalf("test values sum the same in every order (%v); pick others", wantTotal)
+	}
+	for i := 0; i < 100; i++ {
+		total, weights := r.fairSums()
+		if total != wantTotal || weights != wantTotal {
+			t.Fatalf("call %d: fairSums() = %v, %v; want %v, %v (name order)", i, total, weights, wantTotal, wantTotal)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.overFairShare("a") }); allocs != 0 {
+		t.Errorf("overFairShare allocates %v times per call, want 0", allocs)
+	}
+}
