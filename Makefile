@@ -28,12 +28,13 @@ bench-test:
 	$(GO) test -C bench ./...
 
 # One iteration of each micro-benchmark: probe, digest projection, result
-# snapshot, profile lookup, late-backlog planner, lifecycle recorder and
-# backlog simulation, so
-# they keep compiling and running. Timings from one iteration mean nothing;
-# run `go test -bench` with a real -benchtime to measure.
+# snapshot, profile lookup, late-backlog planner, lifecycle recorder (one
+# request, one 30-span request, one timeline lookup) and backlog
+# simulation, so they keep compiling and running. Timings from one
+# iteration mean nothing; run `go test -bench` with a real -benchtime to
+# measure.
 microbench:
-	$(GO) test -run '^$$' -bench 'ProbeClasses|DigestProject|ResultClone|StepTimeBatch|PlanLateBacklog|RecorderRequest|RunBacklog' -benchtime 1x ./internal/control ./internal/costmodel ./internal/core ./internal/lifecycle ./internal/sim
+	$(GO) test -run '^$$' -bench 'ProbeClasses|DigestProject|ResultClone|StepTimeBatch|PlanLateBacklog|RecorderRequest|RecorderDeepTimeline|RecorderLookup|RunBacklog' -benchtime 1x ./internal/control ./internal/costmodel ./internal/core ./internal/lifecycle ./internal/sim
 
 # Regenerate the goldens a behavioural change moves: the experiment tables
 # and the option census. Review the result as one `git diff`.

@@ -271,10 +271,16 @@ func TestRetentionRingBounds(t *testing.T) {
 		t.Errorf("Finalized() = %d, want %d", got, 3*capacity)
 	}
 	rec.mu.Lock()
-	ringLen, traces, ids := len(rec.final), len(rec.byTrace), len(rec.byID)
+	hdrs, traces, ids := rec.hdrs.len(), len(rec.byTrace), len(rec.byID)
+	spans, chunks := rec.spans.len(), len(rec.spans.chunks)+len(rec.spans.spare)
 	rec.mu.Unlock()
-	if ringLen != capacity || traces != capacity || ids != capacity {
-		t.Errorf("ring=%d byTrace=%d byID=%d, want all %d", ringLen, traces, ids, capacity)
+	if hdrs != capacity || traces != capacity || ids != capacity {
+		t.Errorf("headers=%d byTrace=%d byID=%d, want all %d", hdrs, traces, ids, capacity)
+	}
+	// The store holds the retained timelines' five spans each, and its
+	// span queue, never longer than one chunk, has never needed another.
+	if spans != 5*capacity || chunks != 1 {
+		t.Errorf("span queue holds %d spans in %d chunks, want %d in 1", spans, chunks, 5*capacity)
 	}
 	// Oldest evicted, newest retained.
 	if _, ok := rec.Lookup("t-1"); ok {

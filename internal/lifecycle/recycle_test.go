@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -175,9 +176,9 @@ func TestLookupsDuringHooks(t *testing.T) {
 	}
 }
 
-// TestEvictedKeysNotFound: once the ring evicts a timeline and a new
-// admission reuses it, neither of the old request's keys resolves, and a
-// copy taken before the eviction is unaffected.
+// TestEvictedKeysNotFound: once the ring evicts a timeline, neither of the
+// old request's keys resolves, a new admission takes the slot a finalized
+// timeline handed back, and a copy taken before the eviction is unaffected.
 func TestEvictedKeysNotFound(t *testing.T) {
 	rec := NewRecorder(Config{Capacity: 1})
 	h := rec.Hooks()
@@ -189,16 +190,16 @@ func TestEvictedKeysNotFound(t *testing.T) {
 	}
 	want := fmt.Sprintf("%+v", *held)
 	rec.mu.Lock()
-	first := rec.byID[1]
+	slot := rec.acts[0]
 	rec.mu.Unlock()
 
 	fs[1].serve(h, 10*ms) // evicts request 1
 	h.Admitted(20*ms, fs[2].req)
 	rec.mu.Lock()
-	reused := rec.byID[3] == first
+	reused := len(rec.acts) == 1 && rec.acts[0] == slot && slot.hdr.id == 3
 	rec.mu.Unlock()
 	if !reused {
-		t.Fatal("request 3 did not reuse the evicted timeline")
+		t.Fatal("request 3 did not take the slot the finalized timelines handed back")
 	}
 
 	for _, key := range []string{"t-1", "1"} {
@@ -218,9 +219,9 @@ func TestEvictedKeysNotFound(t *testing.T) {
 }
 
 // TestFinalizedWhileWaitingIsNotReused: a request dropped before any plan
-// considered it is finalized while the waiting list still holds it. When
-// the ring evicts it, reusing it would put the next admission on the list
-// twice, and the next plan would process that request twice.
+// considered it is finalized while the waiting list still names its slot.
+// The next admissions take that slot; the stale entries must not match
+// them, or the next plan would process the newest request more than once.
 func TestFinalizedWhileWaitingIsNotReused(t *testing.T) {
 	rec := NewRecorder(Config{Capacity: 1})
 	h := rec.Hooks()
@@ -232,14 +233,16 @@ func TestFinalizedWhileWaitingIsNotReused(t *testing.T) {
 	h.Admitted(5*ms, c)
 
 	rec.mu.Lock()
-	seen := map[*record]bool{}
+	live := 0
 	for _, w := range rec.waiting {
-		if seen[w] {
-			t.Errorf("waiting list holds request %d's record twice", w.tl.ID)
+		if rec.acts[w.slot].gen == w.gen {
+			live++
 		}
-		seen[w] = true
 	}
 	rec.mu.Unlock()
+	if live != 1 {
+		t.Errorf("waiting list matches %d live timelines, want 1 (request c)", live)
+	}
 
 	planConsidering(h, 6*ms, c)
 	tl, ok := rec.Lookup("c")
@@ -276,51 +279,167 @@ func fixtures(n int) []requestFixture {
 }
 
 // serve drives the request's hook sequence from at: admit, a plan that
-// considers it, one block, finish.
+// considers it, one block, finish — five spans.
 func (f requestFixture) serve(h control.Hooks, at time.Duration) {
-	f.run.Start, f.run.End = at+2*ms, at+5*ms
+	f.serveRounds(h, at, 1)
+}
+
+// deepRounds is the number of blocks serveRounds runs for a 30-span
+// timeline: admission and plan-wait, then queue, compute and a plan-wait
+// per block, a fault's requeued marker, and the finish.
+const deepRounds = 9
+
+// serveRounds drives the request through `rounds` blocks from at, each
+// after a plan that considers it. With more than four rounds the fifth
+// block aborts on a fault and the request is requeued. A timeline has
+// 3·rounds+2 spans, one more with the fault.
+func (f requestFixture) serveRounds(h control.Hooks, at time.Duration, rounds int) {
 	h.Admitted(at, f.req)
-	h.PlanComputed(at+ms, 0, f.ctx)
-	h.RunStarted(f.run.Start, f.run)
-	h.RunFinished(f.run.End, f.run)
-	h.Finished(f.run.End, control.Outcome{ID: f.req.ID, Completion: f.run.End, Met: true})
+	for round := 0; round < rounds; round++ {
+		h.PlanComputed(at+ms, 0, f.ctx)
+		f.run.Start, f.run.End = at+2*ms, at+5*ms
+		h.RunStarted(f.run.Start, f.run)
+		at = f.run.End
+		if round == 4 {
+			h.RunAborted(at, f.run, nil)
+			h.Requeued(at, f.req.ID, control.RequeueFault)
+			continue
+		}
+		h.RunFinished(at, f.run)
+	}
+	h.Finished(at, control.Outcome{ID: f.req.ID, Completion: at, Met: true})
 }
 
 // steadyRecorder returns a recorder whose ring has filled and wrapped, and
-// a function serving one more request per call. Requests cycle through
-// twice the ring's size, so a request's ID and trace ID come back only
-// after its previous timeline was evicted.
-func steadyRecorder() func() {
+// a function serving one more request of `rounds` blocks per call.
+// Requests cycle through twice the ring's size, so a request's ID and
+// trace ID come back only after its previous timeline was evicted.
+func steadyRecorder(rounds int) (*Recorder, func()) {
 	const capacity = 64
 	rec := NewRecorder(Config{Capacity: capacity})
 	h := rec.Hooks()
 	fs := fixtures(2 * capacity)
 	i := 0
 	next := func() {
-		fs[i%len(fs)].serve(h, time.Duration(i)*10*ms)
+		fs[i%len(fs)].serveRounds(h, time.Duration(i)*100*ms, rounds)
 		i++
 	}
 	for i < 2*len(fs) {
 		next()
 	}
+	return rec, next
+}
+
+// growingRecorder returns a recorder whose ring holds every one of n
+// distinct requests, warmed by a few, and a function serving the next
+// request per call: the sim-backlog case, where the ring never fills.
+func growingRecorder(n int) func() {
+	rec := NewRecorder(Config{Capacity: n})
+	h := rec.Hooks()
+	fs := fixtures(n)
+	i := 0
+	next := func() {
+		fs[i].serve(h, time.Duration(i)*10*ms)
+		i++
+	}
+	for i < 16 {
+		next()
+	}
 	return next
 }
 
-// TestHookPathAllocFree: with the ring full, a request's whole hook
-// sequence reuses an evicted timeline and allocates nothing.
+// TestHookPathAllocFree: once the ring is full, a request's whole hook
+// sequence allocates nothing, whether its timeline fits the inline spans
+// or outgrows them into a buffer a finalized timeline handed back. While
+// the ring is still filling, only its amortized growth — a chunk of
+// headers, trace IDs or spans, a lookup map outgrowing its table — may
+// allocate, well under once per request.
 func TestHookPathAllocFree(t *testing.T) {
-	if got := testing.AllocsPerRun(200, steadyRecorder()); got != 0 {
-		t.Fatalf("one request's hooks allocate %v times, want 0", got)
+	for _, rounds := range []int{1, deepRounds} {
+		_, next := steadyRecorder(rounds)
+		if got := testing.AllocsPerRun(200, next); got != 0 {
+			t.Fatalf("full ring, %d blocks: one request's hooks allocate %v times, want 0", rounds, got)
+		}
+	}
+	// A recorder that allocated a timeline per admission made two
+	// allocations per request here; the growing store makes about one per
+	// 17 (118 for 2 048 requests, Go 1.24, linux/amd64).
+	const requests = 2048
+	next := growingRecorder(requests + 16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		next()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("filling ring: %d allocations for %d requests", allocs, requests)
+	if allocs > requests/8 {
+		t.Fatalf("filling ring: %d requests' hooks allocate %d times, want at most %d", requests, allocs, requests/8)
+	}
+}
+
+// TestDeepTimelineSpans: a timeline that outgrows the inline spans keeps
+// every span through the move to a buffer and into the store.
+func TestDeepTimelineSpans(t *testing.T) {
+	rec, _ := steadyRecorder(deepRounds)
+	tl, ok := rec.Lookup("t-128")
+	if !ok {
+		t.Fatal("t-128 missing")
+	}
+	if len(tl.Spans) != 3*deepRounds+3 {
+		t.Fatalf("got %d spans, want %d: %+v", len(tl.Spans), 3*deepRounds+3, tl.Spans)
+	}
+	var kinds []string
+	for _, s := range tl.Spans[:8] {
+		kinds = append(kinds, string(s.Kind))
+	}
+	if got, want := fmt.Sprint(kinds), "[admission plan-wait queue compute plan-wait queue compute plan-wait]"; got != want {
+		t.Errorf("first spans %s, want %s", got, want)
+	}
+	if s := tl.Spans[3*4+3]; s.Kind != SpanCompute || s.Cause != "fault" {
+		t.Errorf("fifth block's span = %+v, want a compute segment ending on a fault", s)
+	}
+	if s := tl.Spans[3*4+4]; s.Kind != SpanRequeued {
+		t.Errorf("span after the fault = %+v, want requeued", s)
+	}
+	if s := tl.Spans[len(tl.Spans)-1]; s.Kind != SpanFinish {
+		t.Errorf("last span = %+v, want finish", s)
 	}
 }
 
 // BenchmarkRecorderRequest times one request's hook sequence on a recorder
 // whose ring is full.
 func BenchmarkRecorderRequest(b *testing.B) {
-	next := steadyRecorder()
+	_, next := steadyRecorder(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		next()
+	}
+}
+
+// BenchmarkRecorderDeepTimeline times one 30-span request's hook sequence
+// — nine blocks and a fault — on a recorder whose ring is full: the
+// sim-backlog timeline, which outgrows the inline spans.
+func BenchmarkRecorderDeepTimeline(b *testing.B) {
+	_, next := steadyRecorder(deepRounds)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		next()
+	}
+}
+
+// BenchmarkRecorderLookup times the read a timeline query makes: Lookup of
+// a finalized eight-span timeline by trace ID, rendered and cloned.
+func BenchmarkRecorderLookup(b *testing.B) {
+	rec, _ := steadyRecorder(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if _, ok := rec.Lookup("t-100"); !ok {
+			b.Fatal("t-100 missing")
+		}
 	}
 }
